@@ -18,8 +18,9 @@
 //!
 //! `--check BASELINE` compares the fresh linearity sweep against a
 //! committed report: the sum of `compile_ns + phase1_refine_ns +
-//! phase1_select_ns` across the sweep must not exceed 2x the
-//! baseline's, else the process exits 1 (the CI regression smoke).
+//! phase1_select_ns + phase2_verify_ns` across the sweep must not
+//! exceed 2x the baseline's, else the process exits 1 (the CI
+//! regression smoke).
 //! Unless `--out` is also given, a check run writes nothing.
 
 use std::collections::BTreeMap;
@@ -603,10 +604,10 @@ fn hierarchize_section(scale: usize, threads: usize) -> Value {
     ])
 }
 
-/// Sum of `compile_ns + phase1_refine_ns + phase1_select_ns` across a
-/// report's linearity rows. A missing `compile_ns` (pre-CSR baselines)
-/// counts as zero.
-fn linearity_front_ns(report: &Value) -> u64 {
+/// Sum of `compile_ns + phase1_refine_ns + phase1_select_ns +
+/// phase2_verify_ns` across a report's linearity rows. A missing field
+/// (older baselines) counts as zero.
+fn linearity_gated_ns(report: &Value) -> u64 {
     let rows = report
         .get("linearity")
         .and_then(Value::as_arr)
@@ -614,10 +615,15 @@ fn linearity_front_ns(report: &Value) -> u64 {
     rows.iter()
         .filter_map(|row| row.get("metrics"))
         .map(|m| {
-            ["compile_ns", "phase1_refine_ns", "phase1_select_ns"]
-                .iter()
-                .map(|k| m.get(k).and_then(Value::as_u64).unwrap_or(0))
-                .sum::<u64>()
+            [
+                "compile_ns",
+                "phase1_refine_ns",
+                "phase1_select_ns",
+                "phase2_verify_ns",
+            ]
+            .iter()
+            .map(|k| m.get(k).and_then(Value::as_u64).unwrap_or(0))
+            .sum::<u64>()
         })
         .sum()
 }
@@ -709,9 +715,11 @@ fn main() {
             .unwrap_or_else(|e| panic!("{baseline_path}: {e}"));
         let baseline = subgemini::metrics::json::parse(&baseline_text)
             .unwrap_or_else(|e| panic!("{baseline_path}: {e}"));
-        let was = linearity_front_ns(&baseline);
-        let now = linearity_front_ns(&report);
-        eprintln!("bench_json: check compile+phase1 on linearity: {now} ns vs baseline {was} ns");
+        let was = linearity_gated_ns(&baseline);
+        let now = linearity_gated_ns(&report);
+        eprintln!(
+            "bench_json: check compile+phase1+phase2 on linearity: {now} ns vs baseline {was} ns"
+        );
         if was > 0 && now > was.saturating_mul(2) {
             eprintln!("bench_json: REGRESSION: more than 2x the committed baseline");
             std::process::exit(1);

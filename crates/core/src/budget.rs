@@ -5,8 +5,10 @@
 //! still backtracking search on an NP-complete problem — a single
 //! pathological candidate (high symmetry, few safe labels) can stall a
 //! whole run. `max_passes_per_candidate` / `max_guesses_per_candidate`
-//! cap work *per candidate*; nothing bounds the search globally or
-//! lets a caller stop it. This module adds both:
+//! cap work *per candidate* (a candidate abandoned at either cap makes
+//! the outcome [`TruncationReason::GuessCap`] / [`TruncationReason::PassCap`]
+//! truncated); nothing else bounds the search globally or lets a caller
+//! stop it. This module adds both:
 //!
 //! * [`WorkBudget`] — a global cap measured in deterministic *effort
 //!   units* (the Phase I/II counters the search already maintains:
@@ -129,6 +131,14 @@ pub enum TruncationReason {
     DeadlineExpired,
     /// [`CancelToken::cancel`] was called.
     Cancelled,
+    /// A candidate ran out of
+    /// [`MatchOptions::max_guesses_per_candidate`](crate::MatchOptions)
+    /// and was abandoned undecided.
+    GuessCap,
+    /// A candidate ran out of
+    /// [`MatchOptions::max_passes_per_candidate`](crate::MatchOptions)
+    /// and was abandoned undecided.
+    PassCap,
 }
 
 impl TruncationReason {
@@ -138,26 +148,43 @@ impl TruncationReason {
             TruncationReason::EffortExhausted => "effort_exhausted",
             TruncationReason::DeadlineExpired => "deadline_expired",
             TruncationReason::Cancelled => "cancelled",
+            TruncationReason::GuessCap => "guess_cap",
+            TruncationReason::PassCap => "pass_cap",
+        }
+    }
+
+    /// The cap truncation a candidate's top-level reject implies, if
+    /// any: a candidate rejected at a per-candidate cap was abandoned,
+    /// not disproven.
+    pub(crate) fn of_cap(reject: crate::events::RejectReason) -> Option<Self> {
+        match reject {
+            crate::events::RejectReason::BudgetExhausted => Some(TruncationReason::GuessCap),
+            crate::events::RejectReason::PassBudgetExhausted => Some(TruncationReason::PassCap),
+            _ => None,
         }
     }
 }
 
 /// Whether an outcome covered the whole candidate vector or stopped
-/// early under a budget, deadline, or cancellation.
+/// early under a budget, deadline, or cancellation, or abandoned
+/// candidates at a per-candidate cap.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub enum Completeness {
     /// Every candidate was considered; the instance list is the full
     /// answer (subject only to the caller's own `max_instances`).
     #[default]
     Complete,
-    /// The search stopped early; the instance list is a valid prefix
-    /// of the complete answer (everything reported did verify).
+    /// The search stopped early, or abandoned candidates at a cap;
+    /// everything reported did verify, but instances may be missing.
     Truncated {
-        /// What stopped the search.
+        /// What stopped the search (for caps: the first cap hit in
+        /// candidate-vector order). A run-wide stop takes precedence
+        /// over a cap.
         reason: TruncationReason,
         /// Candidates actually verified before the stop.
         candidates_tried: usize,
-        /// Candidates never considered because of the stop.
+        /// Candidates never considered because of the stop, or, for a
+        /// cap, the candidates abandoned at a cap.
         candidates_skipped: usize,
     },
 }

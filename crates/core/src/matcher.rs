@@ -6,7 +6,7 @@
 //! `G` are shared by every pattern.
 
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -485,7 +485,7 @@ pub(crate) fn find_all_compiled(
     let pruned_at = |i: usize| pruned_mask.as_ref().is_some_and(|m| m[i]);
 
     // ---- Phase II ----
-    let runner = Phase2Runner::new(&s, &prepared.compiled, &pattern_nl, main_nl, options);
+    let runner = Phase2Runner::new(&s, &prepared.compiled, options);
     let Some(base) = runner.base_state() else {
         // A pattern global has no counterpart in the main circuit.
         outcome.phase1.proven_empty = true;
@@ -583,6 +583,8 @@ pub(crate) fn find_all_compiled(
     // (injected worker death): empty payload, the merge recomputes.
     struct SlotData {
         result: Option<crate::instance::SubMatch>,
+        /// Set when a per-candidate cap rejected the candidate.
+        cap: Option<TruncationReason>,
         stats: crate::instance::Phase2Stats,
         effort: u64,
         events: Option<EventBuffer>,
@@ -593,6 +595,7 @@ pub(crate) fn find_all_compiled(
         fn abandoned() -> Self {
             SlotData {
                 result: None,
+                cap: None,
                 stats: crate::instance::Phase2Stats::default(),
                 effort: 0,
                 events: None,
@@ -697,6 +700,7 @@ pub(crate) fn find_all_compiled(
                     let effort = 1 + effort_of(&stats);
                     let _ = slots[i].set(SlotData {
                         result,
+                        cap: search.last_reject().and_then(TruncationReason::of_cap),
                         stats,
                         effort,
                         events: search.drain_events(),
@@ -778,6 +782,7 @@ pub(crate) fn find_all_compiled(
             let effort = 1 + effort_of(&stats);
             let _ = slots[i].set(SlotData {
                 result,
+                cap: search.last_reject().and_then(TruncationReason::of_cap),
                 stats,
                 effort,
                 events: search.drain_events(),
@@ -792,12 +797,17 @@ pub(crate) fn find_all_compiled(
     };
 
     let mut serial_search = (!par_enabled).then(|| runner.make_state(&base));
-    let mut claimed: HashSet<DeviceId> = HashSet::new();
+    // Devices of merged instances under `ClaimDevices`: a dense bitmap
+    // over the main circuit, empty under the other policies.
+    let claiming = options.overlap == OverlapPolicy::ClaimDevices;
+    let mut claimed = vec![false; if claiming { main_nl.device_count() } else { 0 }];
     // Canonical device-set → owner shard of the candidate that first
-    // produced it (0 when unsharded). The dedup check is what it always
-    // was; the owner lets shard mode count cross-shard halo duplicates
-    // separately (`shard.dedup_dropped`).
-    let mut seen_sets: HashMap<Vec<DeviceId>, u32> = HashMap::new();
+    // produced it (0 when unsharded), plus the index of its instance in
+    // `outcome.instances` when one was reported. The dedup check is
+    // what it always was; the owner lets shard mode count cross-shard
+    // halo duplicates separately (`shard.dedup_dropped`), and the index
+    // lets the final sort reuse the set instead of recomputing it.
+    let mut seen_sets: HashMap<Vec<DeviceId>, (u32, Option<usize>)> = HashMap::new();
     let mut shard_dedup_dropped = 0u64;
     let mut p2_trace: Option<Phase2Trace> = None;
     let mut serial_timing = (collect && !par_enabled).then(CandidateTiming::default);
@@ -812,6 +822,11 @@ pub(crate) fn find_all_compiled(
     // for every thread count.
     let mut truncation: Option<TruncationReason> = None;
     let mut stop_index = 0usize;
+    // The first per-candidate cap the merge consumed (in CV order) and
+    // how many consumed candidates a cap rejected: each may have hidden
+    // an instance, so the outcome cannot claim completeness.
+    let mut cap: Option<TruncationReason> = None;
+    let mut capped = 0usize;
     // How many yields the merge waits on an empty-but-claimed slot
     // before recomputing it anyway. Normally unhit: holes are found
     // via the worker count reaching zero. This is the self-healing
@@ -839,12 +854,8 @@ pub(crate) fn find_all_compiled(
             // runs *before* the slot wait: a candidate a worker
             // claim-skipped never gets a slot, and this same check is
             // what guarantees the merge won't wait for one.
-            if options.overlap == OverlapPolicy::ClaimDevices {
-                if let Some(d) = c.as_device() {
-                    if claimed.contains(&d) {
-                        continue;
-                    }
-                }
+            if claiming && c.as_device().is_some_and(|d| claimed[d.index()]) {
+                continue;
             }
             let want_trace = options.record_trace && p2_trace.is_none();
             // Streaming consume: wait for the candidate's slot while
@@ -876,14 +887,14 @@ pub(crate) fn find_all_compiled(
             } else {
                 None
             };
-            let verified = match slot {
+            let (verified, cap_hit) = match slot {
                 Some(s) if s.done => {
                     if let Some(g) = governor.as_mut() {
                         g.charge(s.effort);
                     }
                     outcome.phase2.absorb(&s.stats);
                     consumed[i] = true;
-                    s.result.clone().map(|m| (m, None))
+                    (s.result.clone().map(|m| (m, None)), s.cap)
                 }
                 _ => {
                     // Serial path — or a hole (worker stopped on the
@@ -908,10 +919,17 @@ pub(crate) fn find_all_compiled(
                     if let Some(g) = governor.as_mut() {
                         g.charge(1 + (effort_of(&outcome.phase2) - before));
                     }
-                    verified
+                    (
+                        verified,
+                        search.last_reject().and_then(TruncationReason::of_cap),
+                    )
                 }
             };
             checked += 1;
+            if let Some(reason) = cap_hit {
+                capped += 1;
+                cap.get_or_insert(reason);
+            }
             if let Some(hook) = progress {
                 hook.call(&ProgressEvent::CandidateChecked {
                     index: i,
@@ -925,7 +943,7 @@ pub(crate) fn find_all_compiled(
             matched += 1;
             let set = m.device_set();
             let owner = owners.as_ref().map_or(0, |o| o[i]);
-            if let Some(&first_owner) = seen_sets.get(&set) {
+            if let Some(&(first_owner, _)) = seen_sets.get(&set) {
                 dedup_dropped += 1;
                 if owners.is_some() && first_owner != owner {
                     // The halo-duplicated case: the same instance was
@@ -934,9 +952,8 @@ pub(crate) fn find_all_compiled(
                 }
                 continue; // same instance reached through another candidate
             }
-            let overlaps = options.overlap == OverlapPolicy::ClaimDevices
-                && set.iter().any(|d| claimed.contains(d));
-            if options.overlap == OverlapPolicy::ClaimDevices && !overlaps {
+            let overlaps = claiming && set.iter().any(|d| claimed[d.index()]);
+            if claiming && !overlaps {
                 if let Some(b) = board.as_ref() {
                     for d in &set {
                         b.publish(d.index());
@@ -945,13 +962,16 @@ pub(crate) fn find_all_compiled(
                     // sees the bits.
                     shared.bump_claim_epoch();
                 }
-                claimed.extend(set.iter().copied());
+                for d in &set {
+                    claimed[d.index()] = true;
+                }
             }
-            seen_sets.insert(set, owner); // move, not clone — the set is consumed here
             if overlaps {
+                seen_sets.insert(set, (owner, None));
                 outcome.phase2.overlap_dropped += 1;
                 continue;
             }
+            seen_sets.insert(set, (owner, Some(outcome.instances.len())));
             if want_trace {
                 p2_trace = t;
             }
@@ -981,8 +1001,14 @@ pub(crate) fn find_all_compiled(
     } else {
         run_merge(&mut serial_search);
     }
-    if let Some(reason) = truncation {
-        let candidates_skipped = n - stop_index;
+    // A run-wide stop (effort, deadline, cancel) takes precedence over
+    // a per-candidate cap.
+    let stopped = match (truncation, cap) {
+        (Some(reason), _) => Some((reason, n - stop_index)),
+        (None, Some(reason)) => Some((reason, capped)),
+        (None, None) => None,
+    };
+    if let Some((reason, candidates_skipped)) = stopped {
         outcome.completeness = Completeness::Truncated {
             reason,
             candidates_tried: checked as usize,
@@ -996,9 +1022,21 @@ pub(crate) fn find_all_compiled(
             });
         }
     }
-    // `sort_by_cached_key`: one device-set materialization per
-    // instance, not one per comparison.
-    outcome.instances.sort_by_cached_key(SubMatch::device_set);
+    // Report instances sorted by device set, reusing the sets the merge
+    // computed.
+    let mut order: Vec<(Vec<DeviceId>, usize)> = seen_sets
+        .into_iter()
+        .filter_map(|(set, (_, slot))| Some((set, slot?)))
+        .collect();
+    order.sort_unstable();
+    let mut found: Vec<Option<SubMatch>> = std::mem::take(&mut outcome.instances)
+        .into_iter()
+        .map(Some)
+        .collect();
+    outcome.instances = order
+        .into_iter()
+        .map(|(_, i)| found[i].take().expect("one set per instance"))
+        .collect();
     outcome.trace = p2_trace;
     if let Some(search) = serial_search.as_mut() {
         if let Some(t) = search.take_reject_tally() {

@@ -3,8 +3,10 @@
 //! Phase II's labels are probabilistic (64-bit hashes approximating
 //! exact partition labels), so a completed mapping is always re-checked
 //! structurally before being reported — per the paper's "verify the
-//! isomorphism mapping" step. This also pins down the reproduction's
-//! instance semantics in one place:
+//! isomorphism mapping" step. Phase II applies these rules on the
+//! compiled CSR arrays; [`verify_instance`] states them on the
+//! [`Netlist`] and is the oracle the tests hold that check to. The
+//! reproduction's instance semantics:
 //!
 //! * device types must agree;
 //! * pins must correspond under terminal equivalence classes;

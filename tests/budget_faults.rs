@@ -403,4 +403,86 @@ fn pass_budget_exhaustion_has_its_own_reject_reason() {
         "pass starvation must be tallied as pass_budget_exhausted, got counters: {:?}",
         m.counters.iter().collect::<Vec<_>>()
     );
+    // Abandoned at the pass cap, the candidates were never disproven.
+    assert!(
+        matches!(
+            starved.completeness,
+            Completeness::Truncated {
+                reason: TruncationReason::PassCap,
+                ..
+            }
+        ),
+        "{:?}",
+        starved.completeness
+    );
+}
+
+/// `copies` disjoint stars of one inverter driving `n` inverters: each
+/// star's input net fans out to `n` interchangeable loads, each load
+/// with its own output port.
+fn inverter_stars(copies: usize, n: usize) -> Netlist {
+    let mut nl = Netlist::new("stars");
+    let mos = nl.add_mos_types();
+    let (vdd, gnd) = (nl.net("vdd"), nl.net("gnd"));
+    nl.mark_global(vdd);
+    nl.mark_global(gnd);
+    for c in 0..copies {
+        let (a, x) = (nl.net(format!("a{c}")), nl.net(format!("x{c}")));
+        nl.mark_port(a);
+        nl.add_device(format!("dp{c}"), mos.pmos, &[a, vdd, x])
+            .unwrap();
+        nl.add_device(format!("dn{c}"), mos.nmos, &[a, gnd, x])
+            .unwrap();
+        for i in 0..n {
+            let y = nl.net(format!("y{c}_{i}"));
+            nl.mark_port(y);
+            nl.add_device(format!("p{c}_{i}"), mos.pmos, &[x, vdd, y])
+                .unwrap();
+            nl.add_device(format!("n{c}_{i}"), mos.nmos, &[x, gnd, y])
+                .unwrap();
+        }
+    }
+    nl
+}
+
+/// A candidate abandoned at `max_guesses_per_candidate` may hide an
+/// instance, so the outcome must say `Truncated { guess_cap }` rather
+/// than `Complete` — and say it identically on every thread count,
+/// because the CV-ordered merge decides.
+#[test]
+fn guess_cap_rejects_truncate_the_outcome_on_every_thread_count() {
+    let _fp = FpSession::start();
+    let star = inverter_stars(1, 6);
+    let main = inverter_stars(4, 6);
+    // Sanity: under the default cap every star is found, completely.
+    let full = run(&star, &main, MatchOptions::default());
+    assert_eq!(full.count(), 4);
+    assert!(full.completeness.is_complete());
+    let opts = |threads: usize| MatchOptions {
+        threads,
+        max_guesses_per_candidate: 4,
+        collect_metrics: true,
+        ..MatchOptions::default()
+    };
+    let reference = run(&star, &main, opts(1));
+    let m = reference.metrics.as_ref().expect("metrics requested");
+    let capped = m.counters.get("reject.budget_exhausted");
+    assert!(capped > 0, "the cap must reject candidates");
+    assert_eq!(
+        reference.completeness,
+        Completeness::Truncated {
+            reason: TruncationReason::GuessCap,
+            candidates_tried: reference.phase2.candidates_tried,
+            candidates_skipped: capped as usize,
+        }
+    );
+    assert_eq!(TruncationReason::GuessCap.as_str(), "guess_cap");
+    for threads in [2, 8] {
+        let parallel = run(&star, &main, opts(threads));
+        assert_eq!(reference.instances, parallel.instances, "threads {threads}");
+        assert_eq!(
+            reference.completeness, parallel.completeness,
+            "threads {threads}"
+        );
+    }
 }
