@@ -16,11 +16,12 @@
 //! (EXPERIMENTS.md) — opt-in, so the committed baseline carries no
 //! budget section.
 //!
-//! `--check BASELINE` compares the fresh linearity sweep against a
-//! committed report: the sum of `compile_ns + phase1_refine_ns +
-//! phase1_select_ns + phase2_verify_ns` across the sweep must not
-//! exceed 2x the baseline's, else the process exits 1 (the CI
-//! regression smoke).
+//! `--check BASELINE` compares two gated sums against a committed
+//! report, each against its own baseline: `compile_ns +
+//! phase1_refine_ns + phase1_select_ns + phase2_verify_ns` across the
+//! linearity sweep, and `parse_ns + elaborate_ns` of the front-end
+//! section. If either exceeds 2x the baseline's, the process exits 1
+//! (the CI regression smoke).
 //! Unless `--out` is also given, a check run writes nothing.
 
 use std::collections::BTreeMap;
@@ -604,6 +605,57 @@ fn hierarchize_section(scale: usize, threads: usize) -> Value {
     ])
 }
 
+/// Parse, elaborate and drop of a generated chip deck held in memory as
+/// text (EXPERIMENTS.md E20): the SPICE front end every `subg` command
+/// pays before matching. Each step reports the median of seven repeats.
+fn front_end(scale: usize) -> Value {
+    const REPEATS: usize = 7;
+    let chip = gen::hierarchical_chip(7, 3, 20_000 * scale.max(1));
+    let text = subgemini_spice::write_netlist(&chip.generated.netlist);
+    let opts = subgemini_spice::ElaborateOptions::default();
+    let (mut parse, mut elaborate, mut teardown) = (vec![], vec![], vec![]);
+    let mut devices = 0;
+    for _ in 0..REPEATS {
+        let t = std::time::Instant::now();
+        let doc = subgemini_spice::parse(&text).expect("generated decks parse");
+        parse.push(t.elapsed().as_nanos() as u64);
+        let t = std::time::Instant::now();
+        let nl = doc
+            .elaborate_top("chip", &opts)
+            .expect("generated decks elaborate");
+        elaborate.push(t.elapsed().as_nanos() as u64);
+        devices = nl.device_count();
+        let t = std::time::Instant::now();
+        drop((nl, doc));
+        teardown.push(t.elapsed().as_nanos() as u64);
+    }
+    assert_eq!(devices, chip.generated.netlist.device_count());
+    let median = |v: &mut Vec<u64>| {
+        v.sort_unstable();
+        v[v.len() / 2]
+    };
+    Value::Obj(vec![
+        ("deck_bytes".into(), Value::int(text.len() as u64)),
+        ("devices".into(), Value::int(devices as u64)),
+        ("repeats".into(), Value::int(REPEATS as u64)),
+        ("parse_ns".into(), Value::int(median(&mut parse))),
+        ("elaborate_ns".into(), Value::int(median(&mut elaborate))),
+        ("teardown_ns".into(), Value::int(median(&mut teardown))),
+    ])
+}
+
+/// `parse_ns + elaborate_ns` of a report's front-end section; zero when
+/// the section is missing (older baselines).
+fn front_end_gated_ns(report: &Value) -> u64 {
+    let Some(fe) = report.get("front_end") else {
+        return 0;
+    };
+    ["parse_ns", "elaborate_ns"]
+        .iter()
+        .map(|k| fe.get(k).and_then(Value::as_u64).unwrap_or(0))
+        .sum()
+}
+
 /// Sum of `compile_ns + phase1_refine_ns + phase1_select_ns +
 /// phase2_verify_ns` across a report's linearity rows. A missing field
 /// (older baselines) counts as zero.
@@ -672,6 +724,8 @@ fn main() {
     let shard = sharded(scale, threads);
     eprintln!("bench_json: hierarchy reconstruction...");
     let hier = hierarchize_section(scale, threads);
+    eprintln!("bench_json: SPICE front end...");
+    let fe = front_end(scale);
     let mut fields = vec![
         ("schema_version".into(), Value::int(REPORT_SCHEMA_VERSION)),
         (
@@ -695,6 +749,9 @@ fn main() {
         // Additive since schema v1: per-level hierarchy reconstruction
         // over a planted 3-level chip (EXPERIMENTS.md E18).
         ("hierarchize".into(), hier),
+        // Additive since schema v1: parse/elaborate/drop of an
+        // in-memory chip deck (EXPERIMENTS.md E20).
+        ("front_end".into(), fe),
     ];
     if with_budget_curve {
         eprintln!("bench_json: budget curve...");
@@ -715,13 +772,29 @@ fn main() {
             .unwrap_or_else(|e| panic!("{baseline_path}: {e}"));
         let baseline = subgemini::metrics::json::parse(&baseline_text)
             .unwrap_or_else(|e| panic!("{baseline_path}: {e}"));
-        let was = linearity_gated_ns(&baseline);
-        let now = linearity_gated_ns(&report);
-        eprintln!(
-            "bench_json: check compile+phase1+phase2 on linearity: {now} ns vs baseline {was} ns"
-        );
-        if was > 0 && now > was.saturating_mul(2) {
-            eprintln!("bench_json: REGRESSION: more than 2x the committed baseline");
+        // Each gated sum is held to 2x its own baseline, so the large
+        // front-end term cannot hide a regression in the small
+        // matching term.
+        let mut regressed = false;
+        for (what, was, now) in [
+            (
+                "compile+phase1+phase2 on linearity",
+                linearity_gated_ns(&baseline),
+                linearity_gated_ns(&report),
+            ),
+            (
+                "front-end parse+elaborate",
+                front_end_gated_ns(&baseline),
+                front_end_gated_ns(&report),
+            ),
+        ] {
+            eprintln!("bench_json: check {what}: {now} ns vs baseline {was} ns");
+            if was > 0 && now > was.saturating_mul(2) {
+                eprintln!("bench_json: REGRESSION: {what} is more than 2x the committed baseline");
+                regressed = true;
+            }
+        }
+        if regressed {
             std::process::exit(1);
         }
         eprintln!("bench_json: check ok (within 2x)");

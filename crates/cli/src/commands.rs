@@ -9,7 +9,9 @@
 //! One-shot commands use [`CircuitSource::Inline`] so nothing is
 //! registered and cold runs stay byte-identical to pre-engine releases.
 
+use std::fmt;
 use std::fs;
+use std::io::{BufWriter, StdoutLock, Write as _};
 
 use subgemini::{MatchOptions, Matcher};
 use subgemini_engine::source::{load_cell, load_doc, load_main};
@@ -195,44 +197,54 @@ pub fn find(args: &Args) -> Result<u8, String> {
     let explain_text = args
         .switch("--explain")
         .then(|| subgemini::ExplainReport::from_outcome(outcome).render());
-    match report_mode(args)? {
+    let mode = report_mode(args)?;
+    let mut out = Stdout::new();
+    match mode {
         Some("json") => {
             // Machine-readable: the report is the whole stdout.
-            print!("{}", subgemini::metrics::outcome_to_json(outcome).pretty());
+            out.print(format_args!(
+                "{}",
+                subgemini::metrics::outcome_to_json(outcome).pretty()
+            ));
+            out.finish();
             return Ok(find_exit_code(args, outcome));
         }
         Some(_) => {
-            print!("{}", subgemini::metrics::outcome_to_text(outcome));
+            out.print(format_args!(
+                "{}",
+                subgemini::metrics::outcome_to_text(outcome)
+            ));
             if let Some(text) = explain_text {
-                print!("{text}");
+                out.print(format_args!("{text}"));
             }
+            out.finish();
             return Ok(find_exit_code(args, outcome));
         }
         None => {}
     }
     if args.switch("--csv") {
-        println!("instance,devices");
+        out.line(format_args!("instance,devices"));
         for (i, names) in resp.instance_devices.iter().enumerate() {
-            println!("{i},{}", names.join(";"));
+            out.line(format_args!("{i},{}", names.join(";")));
         }
     } else {
-        println!(
+        out.line(format_args!(
             "{} instance(s) of `{}` in `{}`",
             outcome.count(),
             resp.pattern,
             resp.circuit
-        );
+        ));
         for (i, names) in resp.instance_devices.iter().enumerate() {
-            println!("  #{i}: {}", names.join(" "));
+            out.line(format_args!("  #{i}: {}", names.join(" ")));
         }
-        println!(
+        out.line(format_args!(
             "phase1: |CV|={} iters={}; phase2: {} tried, {} false, {} passes",
             outcome.phase1.cv_size,
             outcome.phase1.iterations,
             outcome.phase2.candidates_tried,
             outcome.phase2.false_candidates,
             outcome.phase2.passes
-        );
+        ));
     }
     if let subgemini::Completeness::Truncated {
         reason,
@@ -243,16 +255,53 @@ pub fn find(args: &Args) -> Result<u8, String> {
         // Keep --csv stdout machine-clean; the exit code still reports
         // the truncation there.
         if !args.switch("--csv") {
-            println!(
+            out.line(format_args!(
                 "truncated ({}): {candidates_tried} candidate(s) tried, {candidates_skipped} skipped",
                 reason.as_str()
-            );
+            ));
         }
     }
     if let Some(text) = explain_text {
-        print!("{text}");
+        out.print(format_args!("{text}"));
     }
+    out.finish();
     Ok(find_exit_code(args, outcome))
+}
+
+/// Stdout behind one buffer, flushed once: a long listing costs one
+/// `write(2)` per buffer-full instead of one per line. A failed write,
+/// a closed pipe included, panics with the message `print!` uses, so
+/// the exit status is the one unbuffered printing gives.
+struct Stdout(BufWriter<StdoutLock<'static>>);
+
+impl Stdout {
+    fn new() -> Self {
+        Self(BufWriter::with_capacity(
+            64 * 1024,
+            std::io::stdout().lock(),
+        ))
+    }
+
+    fn check(result: std::io::Result<()>) {
+        if let Err(e) = result {
+            panic!("failed printing to stdout: {e}");
+        }
+    }
+
+    /// `print!`.
+    fn print(&mut self, args: fmt::Arguments<'_>) {
+        Self::check(self.0.write_fmt(args));
+    }
+
+    /// `println!`.
+    fn line(&mut self, args: fmt::Arguments<'_>) {
+        self.print(args);
+        Self::check(self.0.write_all(b"\n"));
+    }
+
+    fn finish(mut self) {
+        Self::check(self.0.flush());
+    }
 }
 
 /// `subg explain`: run the search with the event journal on and answer
@@ -343,7 +392,6 @@ pub fn compile(args: &Args) -> Result<u8, String> {
 /// line for the resolved address (`--addr 127.0.0.1:0` binds an
 /// ephemeral port), and the final `shutdown` line for the drain count.
 pub fn serve(args: &Args) -> Result<u8, String> {
-    use std::io::Write as _;
     let mut config = subgemini_serve::ServeConfig::default();
     if let Some(addr) = args.option("--addr") {
         config.addr = addr.to_string();

@@ -18,7 +18,7 @@ use std::borrow::Cow;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use subgemini_netlist::{CompiledCircuit, DeviceId, Netlist, NetlistError};
+use subgemini_netlist::{CompiledCircuit, DeviceTypeId, NetId, Netlist, NetlistError};
 
 use crate::instance::{MatchOutcome, SubMatch};
 use crate::matcher::{assert_no_isolated_nets, find_all_compiled, strip_globals, PreparedMain};
@@ -374,37 +374,47 @@ fn replace_instances(
     report: &mut ExtractReport,
     composite_offset: usize,
 ) -> Result<Netlist, NetlistError> {
-    let mut absorbed: HashSet<DeviceId> = HashSet::new();
+    let mut absorbed = vec![false; main.device_count()];
     for m in instances {
-        absorbed.extend(m.devices.iter().copied());
+        for &d in &m.devices {
+            absorbed[d.index()] = true;
+        }
     }
     let mut out = Netlist::new(main.name().to_string());
-    // Copy surviving devices (nets come into being lazily, by name, so
-    // interior nets of collapsed instances vanish).
-    let carry_net = |out: &mut Netlist, name: &str, is_global: bool, is_port: bool| {
-        let id = out.net(name);
-        if is_global {
-            out.mark_global(id);
-        }
-        if is_port {
-            out.mark_port(id);
-        }
-        id
+    // Copy surviving devices. Nets come into being on first use, so
+    // interior nets of collapsed instances vanish; `net_map` remembers
+    // where each main net landed.
+    let mut net_map: Vec<Option<NetId>> = vec![None; main.net_count()];
+    let mut carry_net = |out: &mut Netlist, n: NetId| {
+        *net_map[n.index()].get_or_insert_with(|| {
+            let net = main.net_ref(n);
+            let id = out.net(net.name());
+            if net.is_global() {
+                out.mark_global(id);
+            }
+            if net.is_port() {
+                out.mark_port(id);
+            }
+            id
+        })
     };
+    let mut types: Vec<Option<DeviceTypeId>> = vec![None; main.device_types().len()];
+    let mut pins: Vec<NetId> = Vec::new();
     for d in main.device_ids() {
-        if absorbed.contains(&d) {
+        if absorbed[d.index()] {
             continue;
         }
         let dev = main.device(d);
-        let ty = out.add_type(main.device_type(dev.type_id()).clone())?;
-        let pins: Vec<_> = dev
-            .pins()
-            .iter()
-            .map(|&n| {
-                let net = main.net_ref(n);
-                carry_net(&mut out, net.name(), net.is_global(), net.is_port())
-            })
-            .collect();
+        let ty = match types[dev.type_id().index()] {
+            Some(ty) => ty,
+            None => {
+                let ty = out.add_type(main.device_type(dev.type_id()).clone())?;
+                types[dev.type_id().index()] = Some(ty);
+                ty
+            }
+        };
+        pins.clear();
+        pins.extend(dev.pins().iter().map(|&n| carry_net(&mut out, n)));
         out.add_device(dev.name().to_string(), ty, &pins)?;
     }
     // Add the composites.
@@ -412,14 +422,8 @@ fn replace_instances(
     let start = composite_offset + report.instances.len();
     for (i, m) in instances.iter().enumerate() {
         let name = format!("{}#{}", cell.name(), start + i);
-        let pins: Vec<_> = m
-            .port_images(cell)
-            .iter()
-            .map(|&n| {
-                let net = main.net_ref(n);
-                carry_net(&mut out, net.name(), net.is_global(), net.is_port())
-            })
-            .collect();
+        pins.clear();
+        pins.extend(m.port_images(cell).iter().map(|&n| carry_net(&mut out, n)));
         out.add_device(name.clone(), comp, &pins)?;
         report.instances.push(ExtractedInstance {
             cell: cell.name().to_string(),

@@ -46,7 +46,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 
-use subgemini_netlist::{DeviceType, NetId, Netlist, NetlistError};
+use subgemini_netlist::{DeviceType, DeviceTypeId, NetId, Netlist, NetlistError};
 
 use crate::extract::{ExtractedInstance, Extractor};
 use crate::metrics::json::Value;
@@ -620,25 +620,37 @@ fn normalize_cell(
     for &p in cell.ports() {
         out.mark_port(nets[p.index()]);
     }
+    // Each source type maps to one target type; the arity check runs
+    // on a type's first device, which is also the first device it can
+    // fail on (every device of a type has the same pin count).
+    let mut types: Vec<Option<DeviceTypeId>> = vec![None; cell.device_types().len()];
     for d in cell.device_ids() {
         let dev = cell.device(d);
-        let src = cell.device_type_of(d);
-        let ty = match index.get(src.name()) {
-            Some(&j) => {
-                let comp = composites[j]
-                    .as_ref()
-                    .expect("referenced cells are normalized before their referrers");
-                if comp.terminal_count() != dev.pins().len() {
-                    return Err(HierError::PortArity {
-                        cell: cell.name().to_string(),
-                        device: dev.name().to_string(),
-                        expected: comp.terminal_count(),
-                        got: dev.pins().len(),
-                    });
-                }
-                out.add_type(comp.clone())?
+        let src_id = dev.type_id();
+        let ty = match types[src_id.index()] {
+            Some(ty) => ty,
+            None => {
+                let src = cell.device_type(src_id);
+                let ty = match index.get(src.name()) {
+                    Some(&j) => {
+                        let comp = composites[j]
+                            .as_ref()
+                            .expect("referenced cells are normalized before their referrers");
+                        if comp.terminal_count() != dev.pins().len() {
+                            return Err(HierError::PortArity {
+                                cell: cell.name().to_string(),
+                                device: dev.name().to_string(),
+                                expected: comp.terminal_count(),
+                                got: dev.pins().len(),
+                            });
+                        }
+                        out.add_type(comp.clone())?
+                    }
+                    None => out.add_type(src.clone())?,
+                };
+                types[src_id.index()] = Some(ty);
+                ty
             }
-            None => out.add_type(src.clone())?,
         };
         let pins: Vec<NetId> = dev.pins().iter().map(|&n| nets[n.index()]).collect();
         out.add_device(dev.name().to_string(), ty, &pins)?;

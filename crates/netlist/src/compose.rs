@@ -6,7 +6,7 @@
 //! nets/devices get instance-prefixed fresh names.
 
 use crate::error::NetlistError;
-use crate::id::{DeviceId, NetId};
+use crate::id::{DeviceId, DeviceTypeId, NetId};
 use crate::netlist::Netlist;
 
 /// Mapping produced by [`instantiate`]: where each cell entity landed in
@@ -74,10 +74,14 @@ pub fn instantiate(
         });
     }
     // Map cell nets into the target.
+    let mut port_of: Vec<Option<usize>> = vec![None; cell.net_count()];
+    for (pos, &p) in cell.ports().iter().enumerate() {
+        port_of[p.index()] = Some(pos);
+    }
     let mut nets = Vec::with_capacity(cell.net_count());
     for n in cell.net_ids() {
         let net = cell.net_ref(n);
-        let mapped = if let Some(pos) = cell.ports().iter().position(|&p| p == n) {
+        let mapped = if let Some(pos) = port_of[n.index()] {
             bindings[pos]
         } else if net.is_global() {
             let g = target.net(net.name());
@@ -88,12 +92,23 @@ pub fn instantiate(
         };
         nets.push(mapped);
     }
-    // Copy devices, registering types on demand.
+    // Copy devices, registering each cell type in the target the first
+    // time a device uses it.
+    let mut types: Vec<Option<DeviceTypeId>> = vec![None; cell.device_types().len()];
     let mut devices = Vec::with_capacity(cell.device_count());
+    let mut pins: Vec<NetId> = Vec::new();
     for d in cell.device_ids() {
         let dev = cell.device(d);
-        let ty = target.add_type(cell.device_type(dev.type_id()).clone())?;
-        let pins: Vec<NetId> = dev.pins().iter().map(|&n| nets[n.index()]).collect();
+        let ty = match types[dev.type_id().index()] {
+            Some(ty) => ty,
+            None => {
+                let ty = target.add_type(cell.device_type(dev.type_id()).clone())?;
+                types[dev.type_id().index()] = Some(ty);
+                ty
+            }
+        };
+        pins.clear();
+        pins.extend(dev.pins().iter().map(|&n| nets[n.index()]));
         let id = target.add_device(format!("{prefix}.{}", dev.name()), ty, &pins)?;
         devices.push(id);
     }

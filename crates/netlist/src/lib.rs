@@ -63,6 +63,7 @@ mod graph;
 pub mod hashing;
 mod id;
 mod merge;
+mod names;
 mod netlist;
 pub mod rng;
 mod stats;

@@ -5,6 +5,7 @@ use std::fmt;
 
 use crate::error::NetlistError;
 use crate::id::{DeviceId, DeviceTypeId, NetId};
+use crate::names::{self, NameIndex};
 use crate::types::DeviceType;
 
 /// One pin: a (device, terminal-index) pair attached to a net.
@@ -140,9 +141,11 @@ pub struct Netlist {
     types: Vec<DeviceType>,
     type_ids: HashMap<String, DeviceTypeId>,
     devices: Vec<Device>,
-    device_ids: HashMap<String, DeviceId>,
+    /// Device names → ids; the names themselves live in `devices`.
+    device_index: NameIndex,
     nets: Vec<Net>,
-    net_ids: HashMap<String, NetId>,
+    /// Net names → ids; the names themselves live in `nets`.
+    net_index: NameIndex,
     ports: Vec<NetId>,
 }
 
@@ -235,11 +238,12 @@ impl Netlist {
     /// Returns the net named `name`, creating it if necessary.
     pub fn net(&mut self, name: impl AsRef<str>) -> NetId {
         let name = name.as_ref();
-        if let Some(&id) = self.net_ids.get(name) {
-            return id;
+        let h = names::hash(name);
+        if let Some(id) = self.net_index.get(h, name, |i| &self.nets[i as usize].name) {
+            return NetId::new(id);
         }
         let id = NetId::new(self.nets.len() as u32);
-        self.net_ids.insert(name.to_string(), id);
+        self.net_index.insert(h, id.index() as u32);
         self.nets.push(Net {
             name: name.to_string(),
             pins: Vec::new(),
@@ -251,7 +255,9 @@ impl Netlist {
 
     /// Looks up an existing net by name without creating it.
     pub fn find_net(&self, name: &str) -> Option<NetId> {
-        self.net_ids.get(name).copied()
+        self.net_index
+            .get(names::hash(name), name, |i| &self.nets[i as usize].name)
+            .map(NetId::new)
     }
 
     /// The net record for `id`.
@@ -334,7 +340,12 @@ impl Netlist {
         pins: &[NetId],
     ) -> Result<DeviceId, NetlistError> {
         let name = name.into();
-        if self.device_ids.contains_key(&name) {
+        let h = names::hash(&name);
+        if self
+            .device_index
+            .get(h, &name, |i| &self.devices[i as usize].name)
+            .is_some()
+        {
             return Err(NetlistError::DuplicateDevice { name });
         }
         let Some(tyref) = self.types.get(ty.index()) else {
@@ -363,7 +374,7 @@ impl Netlist {
                 terminal: i as u16,
             });
         }
-        self.device_ids.insert(name.clone(), id);
+        self.device_index.insert(h, id.index() as u32);
         self.devices.push(Device {
             name,
             ty,
@@ -374,7 +385,9 @@ impl Netlist {
 
     /// Looks up a device by name.
     pub fn find_device(&self, name: &str) -> Option<DeviceId> {
-        self.device_ids.get(name).copied()
+        self.device_index
+            .get(names::hash(name), name, |i| &self.devices[i as usize].name)
+            .map(DeviceId::new)
     }
 
     /// The device record for `id`.
@@ -589,9 +602,7 @@ impl Netlist {
                         detail: format!("net `{}` references missing {}", net.name, pin.device),
                     });
                 };
-                if dev.pins.get(pin.terminal as usize).copied()
-                    != self.net_ids.get(&net.name).copied()
-                {
+                if dev.pins.get(pin.terminal as usize).copied() != self.find_net(&net.name) {
                     return Err(NetlistError::Inconsistent {
                         detail: format!(
                             "net `{}` pin back-reference mismatch on device `{}`",
@@ -805,6 +816,113 @@ mod tests {
         let d0 = nl.add_device("t0", mos.nmos, &[a, b, b]).unwrap();
         let pat = nl.subnetlist("one", &[d0, d0, d0]);
         assert_eq!(pat.device_count(), 1);
+    }
+
+    #[test]
+    fn name_index_grows_past_100k_names_and_finds_each_again() {
+        let mut nl = Netlist::new("big");
+        let mos = nl.add_mos_types();
+        let n = 120_000;
+        let nets: Vec<NetId> = (0..n).map(|i| nl.net(format!("n{i}"))).collect();
+        for i in 0..n {
+            let pins = [nets[i], nets[(i + 1) % n], nets[(i + 7) % n]];
+            nl.add_device(format!("m{i}"), mos.nmos, &pins).unwrap();
+        }
+        assert_eq!(nl.net_count(), n);
+        assert_eq!(nl.device_count(), n);
+        for (i, &net) in nets.iter().enumerate() {
+            assert_eq!(nl.find_net(&format!("n{i}")), Some(net));
+            assert_eq!(
+                nl.find_device(&format!("m{i}")),
+                Some(DeviceId::new(i as u32))
+            );
+            // Asking again through `net` creates nothing.
+            assert_eq!(nl.net(format!("n{i}")), net);
+        }
+        assert_eq!(nl.net_count(), n);
+        assert_eq!(nl.find_net(&format!("n{n}")), None);
+        assert_eq!(nl.find_device("n0"), None, "nets and devices are apart");
+        nl.validate().unwrap();
+    }
+
+    #[test]
+    fn duplicate_names_keep_their_first_id() {
+        let (mut nl, mos) = inverter();
+        let a = nl.find_net("a").unwrap();
+        assert_eq!(nl.net("a"), a);
+        assert_eq!(nl.net_count(), 4);
+        let err = nl.add_device("mn", mos.pmos, &[a, a, a]).unwrap_err();
+        assert!(matches!(err, NetlistError::DuplicateDevice { name } if name == "mn"));
+        // The rejected device left no trace in the index or the table.
+        assert_eq!(nl.device_count(), 2);
+        assert_eq!(nl.find_device("mn"), Some(DeviceId::new(1)));
+        let m9 = nl.add_device("m9", mos.nmos, &[a, a, a]).unwrap();
+        assert_eq!(nl.find_device("m9"), Some(m9));
+    }
+
+    #[test]
+    fn failed_add_device_does_not_reserve_the_name() {
+        let (mut nl, mos) = inverter();
+        let a = nl.net("a");
+        assert!(nl.add_device("m9", mos.nmos, &[a]).is_err());
+        assert_eq!(nl.find_device("m9"), None);
+        let id = nl.add_device("m9", mos.nmos, &[a, a, a]).unwrap();
+        assert_eq!(nl.find_device("m9"), Some(id));
+    }
+
+    #[test]
+    fn names_sharing_long_prefixes_and_suffixes_stay_distinct() {
+        let mut nl = Netlist::new("x");
+        let mos = nl.add_mos_types();
+        let stem = "xtop.xbank3.xrow17.xcol42.xcell".repeat(3);
+        let mut names = Vec::new();
+        for i in 0..500 {
+            names.push(format!("{stem}{i}"));
+            names.push(format!("{i}{stem}"));
+            names.push(format!("{stem}{i}{stem}"));
+        }
+        let ids: Vec<NetId> = names.iter().map(|n| nl.net(n)).collect();
+        assert_eq!(nl.net_count(), names.len());
+        for (name, &id) in names.iter().zip(&ids) {
+            assert_eq!(nl.find_net(name), Some(id));
+            assert_eq!(nl.net_ref(id).name(), name);
+        }
+        for (i, name) in names.iter().enumerate() {
+            let pins = [ids[i], ids[i], ids[i]];
+            nl.add_device(name.clone(), mos.pmos, &pins).unwrap();
+        }
+        for (i, name) in names.iter().enumerate() {
+            assert_eq!(nl.find_device(name), Some(DeviceId::new(i as u32)));
+        }
+        assert_eq!(nl.find_net(&stem), None);
+        assert_eq!(nl.find_device(&format!("{stem}500")), None);
+    }
+
+    #[test]
+    fn lookups_on_an_empty_netlist_miss() {
+        let nl = Netlist::new("empty");
+        assert_eq!(nl.find_net("a"), None);
+        assert_eq!(nl.find_net(""), None);
+        assert_eq!(nl.find_device("m1"), None);
+        assert_eq!(Netlist::default().find_device(""), None);
+    }
+
+    #[test]
+    fn clones_answer_lookups_like_the_original() {
+        let (nl, mos) = inverter();
+        let mut copy = nl.clone();
+        for name in ["vdd", "gnd", "a", "y", "nope"] {
+            assert_eq!(copy.find_net(name), nl.find_net(name), "{name}");
+        }
+        for name in ["mp", "mn", "nope"] {
+            assert_eq!(copy.find_device(name), nl.find_device(name), "{name}");
+        }
+        // Growing the clone leaves the original's index alone.
+        let z = copy.net("z");
+        copy.add_device("mz", mos.nmos, &[z, z, z]).unwrap();
+        assert!(copy.find_device("mz").is_some());
+        assert_eq!(nl.find_device("mz"), None);
+        assert_eq!(nl.find_net("z"), None);
     }
 
     #[test]

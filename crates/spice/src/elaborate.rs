@@ -1,12 +1,13 @@
 //! Elaboration: turning a parsed [`SpiceDoc`] into [`Netlist`]s.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
-use subgemini_netlist::{instantiate, DeviceType, Netlist, TerminalSpec};
+use subgemini_netlist::{instantiate, DeviceType, DeviceTypeId, NetId, Netlist, TerminalSpec};
 
 use crate::card::{Card, SubcktDef};
 use crate::error::SpiceError;
-use crate::parse::SpiceDoc;
+use crate::parse::{lowercase, SpiceDoc};
 
 /// Elaboration options.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -43,6 +44,110 @@ impl ElaborateOptions {
     }
 }
 
+/// The built-in device types cards elaborate to.
+#[derive(Clone, Copy)]
+enum Builtin {
+    Nmos,
+    Pmos,
+    Res,
+    Cap,
+    Ind,
+    Npn,
+    Pnp,
+}
+
+impl Builtin {
+    const COUNT: usize = 7;
+
+    fn mos(model: &str) -> Self {
+        if model.starts_with('p') {
+            Builtin::Pmos
+        } else {
+            Builtin::Nmos
+        }
+    }
+
+    fn bjt(model: &str) -> Self {
+        if model.starts_with('p') {
+            Builtin::Pnp
+        } else {
+            Builtin::Npn
+        }
+    }
+
+    /// The built-in for a parsed `R`/`C`/`L` kind; `None` for any other
+    /// kind a caller put in a hand-built card.
+    fn two_terminal(kind: &str) -> Option<Self> {
+        match kind {
+            "res" => Some(Builtin::Res),
+            "cap" => Some(Builtin::Cap),
+            "ind" => Some(Builtin::Ind),
+            _ => None,
+        }
+    }
+
+    fn device_type(self) -> DeviceType {
+        match self {
+            Builtin::Nmos => DeviceType::mos("nmos"),
+            Builtin::Pmos => DeviceType::mos("pmos"),
+            Builtin::Res => DeviceType::two_terminal("res"),
+            Builtin::Cap => DeviceType::two_terminal("cap"),
+            Builtin::Ind => DeviceType::two_terminal("ind"),
+            Builtin::Npn => DeviceType::bjt("npn"),
+            Builtin::Pnp => DeviceType::bjt("pnp"),
+        }
+    }
+}
+
+/// A netlist under construction, with what elaboration already knows
+/// about it: which built-in types it holds and which nets' global flag
+/// is settled.
+struct Target {
+    nl: Netlist,
+    builtins: [Option<DeviceTypeId>; Builtin::COUNT],
+    /// By net id: whether a card already named the net, so its global
+    /// flag is decided.
+    named: Vec<bool>,
+}
+
+impl Target {
+    fn new(name: impl Into<String>) -> Self {
+        Self {
+            nl: Netlist::new(name),
+            builtins: [None; Builtin::COUNT],
+            named: Vec::new(),
+        }
+    }
+
+    /// The id of a built-in type, registered on first use.
+    fn builtin(&mut self, b: Builtin) -> Result<DeviceTypeId, SpiceError> {
+        if let Some(id) = self.builtins[b as usize] {
+            return Ok(id);
+        }
+        let id = self.nl.add_type(b.device_type())?;
+        self.builtins[b as usize] = Some(id);
+        Ok(id)
+    }
+
+    /// The net `name`, marked global the first time a card names it if
+    /// it is in `globals` (marking is idempotent and never undone, so
+    /// deciding once equals deciding on every reference).
+    fn net(&mut self, globals: &HashSet<String>, name: &str) -> NetId {
+        let id = self.nl.net(name);
+        let i = id.index();
+        if i >= self.named.len() {
+            self.named.resize(self.nl.net_count(), false);
+        }
+        if !self.named[i] {
+            self.named[i] = true;
+            if globals.contains(name) {
+                self.nl.mark_global(id);
+            }
+        }
+        id
+    }
+}
+
 struct Elaborator<'a> {
     subckts: HashMap<&'a str, &'a SubcktDef>,
     opts: &'a ElaborateOptions,
@@ -67,27 +172,8 @@ impl<'a> Elaborator<'a> {
         }
     }
 
-    fn is_global(&self, net: &str) -> bool {
-        self.globals.contains(net)
-    }
-
-    fn mos_type_name(model: &str) -> &'static str {
-        if model.starts_with('p') {
-            "pmos"
-        } else {
-            "nmos"
-        }
-    }
-
-    fn bjt_type_name(model: &str) -> &'static str {
-        if model.starts_with('p') {
-            "pnp"
-        } else {
-            "npn"
-        }
-    }
-
-    fn add_card(&mut self, nl: &mut Netlist, card: &Card) -> Result<(), SpiceError> {
+    fn add_card(&mut self, t: &mut Target, card: &Card) -> Result<(), SpiceError> {
+        let g = &self.globals;
         match card {
             Card::Mos {
                 name,
@@ -96,18 +182,17 @@ impl<'a> Elaborator<'a> {
                 source,
                 model,
             } => {
-                let ty = nl.add_type(DeviceType::mos(Self::mos_type_name(model)))?;
-                let pins = [
-                    self.net(nl, gate),
-                    self.net(nl, source),
-                    self.net(nl, drain),
-                ];
-                nl.add_device(name.clone(), ty, &pins)?;
+                let ty = t.builtin(Builtin::mos(model))?;
+                let pins = [t.net(g, gate), t.net(g, source), t.net(g, drain)];
+                t.nl.add_device(name.clone(), ty, &pins)?;
             }
             Card::TwoTerminal { name, kind, a, b } => {
-                let ty = nl.add_type(DeviceType::two_terminal(*kind))?;
-                let pins = [self.net(nl, a), self.net(nl, b)];
-                nl.add_device(name.clone(), ty, &pins)?;
+                let ty = match Builtin::two_terminal(kind) {
+                    Some(b) => t.builtin(b)?,
+                    None => t.nl.add_type(DeviceType::two_terminal(*kind))?,
+                };
+                let pins = [t.net(g, a), t.net(g, b)];
+                t.nl.add_device(name.clone(), ty, &pins)?;
             }
             Card::Diode { name, p, n, model } => {
                 let tyname = if model.is_empty() {
@@ -115,9 +200,9 @@ impl<'a> Elaborator<'a> {
                 } else {
                     format!("diode:{model}")
                 };
-                let ty = nl.add_type(DeviceType::polarized(tyname))?;
-                let pins = [self.net(nl, p), self.net(nl, n)];
-                nl.add_device(name.clone(), ty, &pins)?;
+                let ty = t.nl.add_type(DeviceType::polarized(tyname))?;
+                let pins = [t.net(g, p), t.net(g, n)];
+                t.nl.add_device(name.clone(), ty, &pins)?;
             }
             Card::Bjt {
                 name,
@@ -127,15 +212,16 @@ impl<'a> Elaborator<'a> {
                 model,
                 ..
             } => {
-                let ty = nl.add_type(DeviceType::bjt(Self::bjt_type_name(model)))?;
-                let pins = [self.net(nl, c), self.net(nl, b), self.net(nl, e)];
-                nl.add_device(name.clone(), ty, &pins)?;
+                let ty = t.builtin(Builtin::bjt(model))?;
+                let pins = [t.net(g, c), t.net(g, b), t.net(g, e)];
+                t.nl.add_device(name.clone(), ty, &pins)?;
             }
             Card::Instance { name, nets, subckt } => {
                 if self.opts.flatten {
-                    let cell = self.cell(subckt)?.clone();
-                    let bindings: Vec<_> = nets.iter().map(|n| self.net(nl, n)).collect();
-                    instantiate(nl, &cell, name, &bindings)?;
+                    let key = self.build_cell(subckt)?;
+                    let (cell, g) = (&self.cells[&*key], &self.globals);
+                    let bindings: Vec<_> = nets.iter().map(|n| t.net(g, n)).collect();
+                    instantiate(&mut t.nl, cell, name, &bindings)?;
                 } else {
                     let def = *self.subckts.get(subckt.as_str()).ok_or_else(|| {
                         SpiceError::UnknownSubckt {
@@ -147,7 +233,7 @@ impl<'a> Elaborator<'a> {
                         .iter()
                         .map(|p| TerminalSpec::new(p.clone(), p.clone()))
                         .collect();
-                    let ty = nl.add_type(
+                    let ty = t.nl.add_type(
                         DeviceType::try_new(def.name.clone(), terms)
                             .map_err(|detail| SpiceError::Parse { line: 0, detail })?,
                     )?;
@@ -162,48 +248,44 @@ impl<'a> Elaborator<'a> {
                             ),
                         });
                     }
-                    let pins: Vec<_> = nets.iter().map(|n| self.net(nl, n)).collect();
-                    nl.add_device(name.clone(), ty, &pins)?;
+                    let pins: Vec<_> = nets.iter().map(|n| t.net(g, n)).collect();
+                    t.nl.add_device(name.clone(), ty, &pins)?;
                 }
             }
         }
         Ok(())
     }
 
-    fn net(&self, nl: &mut Netlist, name: &str) -> subgemini_netlist::NetId {
-        let id = nl.net(name);
-        if self.is_global(name) {
-            nl.mark_global(id);
+    /// Fully elaborates a subcircuit into a memoized cell netlist
+    /// (ports marked); returns its key in `cells`.
+    fn build_cell<'n>(&mut self, name: &'n str) -> Result<Cow<'n, str>, SpiceError> {
+        let name = lowercase(name);
+        if self.cells.contains_key(&*name) {
+            return Ok(name);
         }
-        id
-    }
-
-    /// Fully elaborates a subcircuit into a cell netlist (ports marked,
-    /// memoized).
-    fn cell(&mut self, name: &str) -> Result<&Netlist, SpiceError> {
-        let name = name.to_ascii_lowercase();
-        if self.cells.contains_key(&name) {
-            return Ok(&self.cells[&name]);
-        }
-        if self.visiting.contains(&name) {
-            return Err(SpiceError::RecursiveSubckt { name });
+        if self.visiting.iter().any(|v| *v == *name) {
+            return Err(SpiceError::RecursiveSubckt {
+                name: name.into_owned(),
+            });
         }
         let def = *self
             .subckts
-            .get(name.as_str())
-            .ok_or_else(|| SpiceError::UnknownSubckt { name: name.clone() })?;
-        self.visiting.push(name.clone());
-        let mut nl = Netlist::new(def.name.clone());
+            .get(&*name)
+            .ok_or_else(|| SpiceError::UnknownSubckt {
+                name: name.to_string(),
+            })?;
+        self.visiting.push(name.to_string());
+        let mut t = Target::new(def.name.clone());
         for p in &def.ports {
-            let id = self.net(&mut nl, p);
-            nl.mark_port(id);
+            let id = t.net(&self.globals, p);
+            t.nl.mark_port(id);
         }
         for card in &def.cards {
-            self.add_card(&mut nl, card)?;
+            self.add_card(&mut t, card)?;
         }
         self.visiting.pop();
-        self.cells.insert(name.clone(), nl);
-        Ok(&self.cells[&name])
+        self.cells.insert(name.to_string(), t.nl);
+        Ok(name)
     }
 }
 
@@ -232,11 +314,11 @@ impl SpiceDoc {
         opts: &ElaborateOptions,
     ) -> Result<Netlist, SpiceError> {
         let mut el = Elaborator::new(self, opts);
-        let mut nl = Netlist::new(name);
+        let mut t = Target::new(name);
         for card in &self.top {
-            el.add_card(&mut nl, card)?;
+            el.add_card(&mut t, card)?;
         }
-        Ok(nl)
+        Ok(t.nl)
     }
 
     /// Elaborates the subcircuit `name` into a standalone cell netlist
@@ -258,7 +340,8 @@ impl SpiceDoc {
             });
         }
         let mut el = Elaborator::new(self, opts);
-        el.cell(name).cloned()
+        let key = el.build_cell(name)?.into_owned();
+        Ok(el.cells.remove(&key).expect("build_cell memoizes the cell"))
     }
 }
 
@@ -306,6 +389,25 @@ R1 out 0 10k
         let x = nl.find_device("xu1").unwrap();
         assert_eq!(nl.device_type_of(x).name(), "buf");
         assert_eq!(nl.device_type_of(x).terminal_count(), 2);
+    }
+
+    #[test]
+    fn hand_built_two_terminal_cards_keep_their_kind() {
+        let mut doc = parse("R1 a b 1\nL1 a b 1\n").unwrap();
+        doc.top.push(Card::TwoTerminal {
+            name: "v1".into(),
+            kind: "vsrc",
+            a: "a".into(),
+            b: "0".into(),
+        });
+        let nl = doc
+            .elaborate_top("chip", &ElaborateOptions::default())
+            .unwrap();
+        let ty = |dev: &str| nl.device_type_of(nl.find_device(dev).unwrap());
+        assert_eq!(ty("r1").name(), "res");
+        assert_eq!(ty("l1").name(), "ind");
+        assert_eq!(ty("v1").name(), "vsrc");
+        assert_eq!(ty("v1").terminal_count(), 2);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! * `*` comment lines, `;`/`$` trailing comments, `+` continuations,
 //! * `k=v` parameter tokens and trailing numeric values are skipped.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use crate::card::{Card, SubcktDef};
@@ -30,8 +31,8 @@ pub struct SpiceDoc {
 impl SpiceDoc {
     /// Looks up a subcircuit definition by (case-insensitive) name.
     pub fn subckt(&self, name: &str) -> Option<&SubcktDef> {
-        let name = name.to_ascii_lowercase();
-        self.subckts.iter().find(|s| s.name == name)
+        let name = lowercase(name);
+        self.subckts.iter().find(|s| s.name == *name)
     }
 
     /// Map from subcircuit name to definition.
@@ -40,30 +41,81 @@ impl SpiceDoc {
     }
 }
 
-/// Splits physical lines into logical lines, honoring `*` comments and
-/// `+` continuations; yields `(first_line_number, joined_text)`.
-fn logical_lines(text: &str) -> Vec<(usize, String)> {
-    let mut out: Vec<(usize, String)> = Vec::new();
-    for (i, raw) in text.lines().enumerate() {
-        let lineno = i + 1;
-        let line = match raw.find([';', '$']) {
-            Some(pos) => &raw[..pos],
-            None => raw,
-        };
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('*') {
-            continue;
+/// Logical lines of a deck: blank lines and `*` comment lines are
+/// dropped, trailing `;`/`$` comments cut, and `+` continuations joined
+/// onto the preceding logical line. Yields `(first_line_number, text)`;
+/// the text borrows the deck unless a continuation forced a join.
+struct LogicalLines<'a> {
+    lines: std::iter::Enumerate<std::str::Lines<'a>>,
+    /// The start of the next logical line, read while looking for
+    /// continuations of the current one.
+    pending: Option<(usize, &'a str)>,
+}
+
+impl<'a> LogicalLines<'a> {
+    fn new(text: &'a str) -> Self {
+        Self {
+            lines: text.lines().enumerate(),
+            pending: None,
         }
-        if let Some(rest) = trimmed.strip_prefix('+') {
-            if let Some(last) = out.last_mut() {
-                last.1.push(' ');
-                last.1.push_str(rest.trim());
-                continue;
+    }
+
+    /// The next physical line with content, comments stripped and
+    /// trimmed.
+    fn next_content(&mut self) -> Option<(usize, &'a str)> {
+        for (i, raw) in &mut self.lines {
+            let line = match raw.find([';', '$']) {
+                Some(pos) => &raw[..pos],
+                None => raw,
+            };
+            let trimmed = line.trim();
+            if !trimmed.is_empty() && !trimmed.starts_with('*') {
+                return Some((i + 1, trimmed));
             }
         }
-        out.push((lineno, trimmed.to_string()));
+        None
     }
-    out
+}
+
+impl<'a> Iterator for LogicalLines<'a> {
+    type Item = (usize, Cow<'a, str>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (lineno, first) = match self.pending.take() {
+            Some(start) => start,
+            None => self.next_content()?,
+        };
+        let mut joined: Option<String> = None;
+        while let Some((n, text)) = self.next_content() {
+            match text.strip_prefix('+') {
+                Some(rest) => {
+                    let j = joined.get_or_insert_with(|| first.to_string());
+                    j.push(' ');
+                    j.push_str(rest.trim());
+                }
+                None => {
+                    self.pending = Some((n, text));
+                    break;
+                }
+            }
+        }
+        Some((lineno, joined.map_or(Cow::Borrowed(first), Cow::Owned)))
+    }
+}
+
+/// A token or name lowercased, borrowed when it already is.
+pub(crate) fn lowercase(tok: &str) -> Cow<'_, str> {
+    if tok.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(tok.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(tok)
+    }
+}
+
+/// Moves a token out as an owned `String` (allocating only if it was
+/// borrowed).
+fn take(tok: &mut Cow<'_, str>) -> String {
+    std::mem::take(tok).into_owned()
 }
 
 /// True for tokens we ignore: `k=v` parameters and bare numeric values
@@ -84,36 +136,35 @@ fn parse_err(line: usize, detail: impl Into<String>) -> SpiceError {
     }
 }
 
-fn parse_card(line: usize, toks: &[String]) -> Result<Card, SpiceError> {
-    let name = toks[0].clone();
-    let kind = name.chars().next().expect("token is non-empty");
+/// Builds the card for `toks` (name first). Tokens are moved into the
+/// card, so `toks` is only consumed on success.
+fn parse_card(line: usize, toks: &mut [Cow<'_, str>]) -> Result<Card, SpiceError> {
+    let (name_tok, rest) = toks.split_first_mut().expect("a logical line has a token");
+    let kind = name_tok.chars().next().expect("token is non-empty");
     // Nets/model tokens: everything after the name that is not a
     // parameter or trailing value.
-    let args: Vec<&String> = toks[1..].iter().take_while(|t| !t.contains('=')).collect();
+    let nargs = rest.iter().take_while(|t| !t.contains('=')).count();
+    let args = &mut rest[..nargs];
+    let name: &str = name_tok;
     match kind {
         'm' => {
             // M d g s [b] model — bulk present when ≥5 structural args.
-            let need = |i: usize| -> Result<String, SpiceError> {
-                args.get(i)
-                    .map(|s| (*s).clone())
-                    .ok_or_else(|| parse_err(line, format!("MOS card `{name}` is too short")))
-            };
-            let (drain, gate, source) = (need(0)?, need(1)?, need(2)?);
-            let model = match args.len() {
-                0..=3 => return Err(parse_err(line, format!("MOS card `{name}` lacks a model"))),
-                4 => need(3)?,
-                _ => need(4)?, // 4-terminal form: skip the bulk node
+            let model = match nargs {
+                0..=2 => return Err(parse_err(line, format!("MOS card `{name}` is too short"))),
+                3 => return Err(parse_err(line, format!("MOS card `{name}` lacks a model"))),
+                4 => 3,
+                _ => 4, // 4-terminal form: skip the bulk node
             };
             Ok(Card::Mos {
-                name,
-                drain,
-                gate,
-                source,
-                model,
+                name: take(name_tok),
+                drain: take(&mut args[0]),
+                gate: take(&mut args[1]),
+                source: take(&mut args[2]),
+                model: take(&mut args[model]),
             })
         }
         'r' | 'c' | 'l' => {
-            if args.len() < 2 {
+            if nargs < 2 {
                 return Err(parse_err(line, format!("card `{name}` needs two nets")));
             }
             let kind = match kind {
@@ -122,58 +173,56 @@ fn parse_card(line: usize, toks: &[String]) -> Result<Card, SpiceError> {
                 _ => "ind",
             };
             Ok(Card::TwoTerminal {
-                name,
+                name: take(name_tok),
                 kind,
-                a: args[0].clone(),
-                b: args[1].clone(),
+                a: take(&mut args[0]),
+                b: take(&mut args[1]),
             })
         }
         'd' => {
-            if args.len() < 2 {
+            if nargs < 2 {
                 return Err(parse_err(line, format!("diode `{name}` needs two nets")));
             }
-            let model = args
-                .get(2)
-                .filter(|t| !is_param_or_value(t))
-                .map(|s| (*s).clone())
-                .unwrap_or_default();
+            let model = match args.get_mut(2) {
+                Some(t) if !is_param_or_value(t) => take(t),
+                _ => String::new(),
+            };
             Ok(Card::Diode {
-                name,
-                p: args[0].clone(),
-                n: args[1].clone(),
+                name: take(name_tok),
+                p: take(&mut args[0]),
+                n: take(&mut args[1]),
                 model,
             })
         }
         'q' => {
-            if args.len() < 4 {
+            if nargs < 4 {
                 return Err(parse_err(
                     line,
                     format!("BJT `{name}` needs c b e and a model"),
                 ));
             }
             // Optional substrate node: model is the last non-value token.
-            let model = args[args.len() - 1].clone();
             Ok(Card::Bjt {
-                name,
-                c: args[0].clone(),
-                b: args[1].clone(),
-                e: args[2].clone(),
-                model,
+                name: take(name_tok),
+                model: take(&mut args[nargs - 1]),
+                c: take(&mut args[0]),
+                b: take(&mut args[1]),
+                e: take(&mut args[2]),
             })
         }
         'x' => {
-            if args.len() < 2 {
+            if nargs < 2 {
                 return Err(parse_err(
                     line,
                     format!("instance `{name}` needs nets and a subcircuit name"),
                 ));
             }
-            let subckt = args[args.len() - 1].clone();
-            let nets = args[..args.len() - 1]
-                .iter()
-                .map(|s| (*s).clone())
-                .collect();
-            Ok(Card::Instance { name, nets, subckt })
+            let (subckt, nets) = args.split_last_mut().expect("nargs >= 2");
+            Ok(Card::Instance {
+                name: take(name_tok),
+                nets: nets.iter_mut().map(take).collect(),
+                subckt: take(subckt),
+            })
         }
         other => Err(parse_err(line, format!("unsupported element `{other}`"))),
     }
@@ -206,41 +255,47 @@ fn parse_card(line: usize, toks: &[String]) -> Result<Card, SpiceError> {
 pub fn parse(text: &str) -> Result<SpiceDoc, SpiceError> {
     let mut doc = SpiceDoc::default();
     let mut current: Option<SubcktDef> = None;
-    let lines = logical_lines(text);
-    for (idx, (lineno, line)) in lines.iter().enumerate() {
-        let toks: Vec<String> = line
-            .split_whitespace()
-            .map(|t| t.to_ascii_lowercase())
-            .collect();
-        let head = toks[0].as_str();
-        if head.starts_with('.') {
-            match head {
+    let mut toks = Vec::new();
+    for (idx, (lineno, line)) in LogicalLines::new(text).enumerate() {
+        // Tokens borrow the deck; a line a continuation joined is owned,
+        // and so are its tokens.
+        toks.clear();
+        match &line {
+            Cow::Borrowed(text) => toks.extend(text.split_whitespace().map(lowercase)),
+            Cow::Owned(text) => toks.extend(
+                text.split_whitespace()
+                    .map(|t| Cow::Owned(t.to_ascii_lowercase())),
+            ),
+        }
+        if toks[0].starts_with('.') {
+            let head = take(&mut toks[0]);
+            match head.as_str() {
                 ".subckt" => {
                     if current.is_some() {
-                        return Err(parse_err(*lineno, "nested .subckt is not supported"));
+                        return Err(parse_err(lineno, "nested .subckt is not supported"));
                     }
                     if toks.len() < 2 {
-                        return Err(parse_err(*lineno, ".subckt needs a name"));
+                        return Err(parse_err(lineno, ".subckt needs a name"));
                     }
                     current = Some(SubcktDef {
-                        name: toks[1].clone(),
+                        name: take(&mut toks[1]),
                         ports: toks[2..]
-                            .iter()
+                            .iter_mut()
                             .filter(|t| !t.contains('='))
-                            .cloned()
+                            .map(take)
                             .collect(),
                         cards: Vec::new(),
                     });
                 }
                 ".ends" => match current.take() {
                     Some(def) => doc.subckts.push(def),
-                    None => return Err(SpiceError::UnmatchedEnds { line: *lineno }),
+                    None => return Err(SpiceError::UnmatchedEnds { line: lineno }),
                 },
-                ".global" => doc.globals.extend(toks[1..].iter().cloned()),
+                ".global" => doc.globals.extend(toks[1..].iter_mut().map(take)),
                 ".end" => break,
                 ".include" | ".inc" | ".lib" => {
                     return Err(parse_err(
-                        *lineno,
+                        lineno,
                         "includes must be resolved first; use parse_file for on-disk decks",
                     ));
                 }
@@ -250,10 +305,10 @@ pub fn parse(text: &str) -> Result<SpiceDoc, SpiceError> {
         }
         // A first logical line that does not parse as a card is the
         // traditional SPICE title line.
-        let card = match parse_card(*lineno, &toks) {
+        let card = match parse_card(lineno, &mut toks) {
             Ok(card) => card,
-            Err(_) if idx == 0 && *lineno == 1 => {
-                doc.title = Some(line.clone());
+            Err(_) if idx == 0 && lineno == 1 => {
+                doc.title = Some(line.into_owned());
                 continue;
             }
             Err(e) => return Err(e),
