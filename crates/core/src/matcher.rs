@@ -7,7 +7,6 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use subgemini_netlist::{CompiledCircuit, DeviceId, FingerprintIndex, Netlist};
@@ -16,11 +15,10 @@ use crate::budget::{effort_of, Completeness, Governor, SharedGovernor, Truncatio
 use crate::events::{EventBuffer, EventJournal, EventKind, RejectTally};
 use crate::instance::{MatchOutcome, SubMatch};
 use crate::metrics::{Histogram, MetricsReport, PhaseTimer, ProgressEvent};
-use crate::options::{MatchOptions, OverlapPolicy, Phase2Scheduler, PrunePolicy};
+use crate::options::{MatchOptions, OverlapPolicy, PrunePolicy};
 use crate::phase1;
 use crate::phase2::{CandidateTiming, Phase2Runner};
 use crate::scheduler::{Claim, ClaimBoard, StealQueue, WorkerStats};
-use crate::shard::ShardPlan;
 use crate::trace::Phase2Trace;
 
 /// A configured subcircuit search: find instances of `pattern` inside
@@ -207,17 +205,6 @@ pub fn find_all(pattern: &Netlist, main: &Netlist, options: &MatchOptions) -> Ma
     } else {
         let prepared = prepare_main(main, options);
         let mut trace = phase1::GTrace::new(Arc::clone(&prepared.compiled));
-        // Shard-tier graphs get chunk-parallel Jacobi relabeling: each
-        // output element is a pure function of the previous snapshot,
-        // so chunking is bit-identical to the serial pass. Gated on
-        // sharding so unsharded runs keep the untouched serial path.
-        if options
-            .shards
-            .resolve(prepared.compiled.device_count())
-            .is_some()
-        {
-            trace.set_relabel_workers(options.resolved_threads());
-        }
         find_all_compiled(
             pattern,
             &prepared,
@@ -265,13 +252,6 @@ pub fn find_all_many(
     }
     let prepared = prepare_main(main, options);
     let mut trace = phase1::GTrace::new(Arc::clone(&prepared.compiled));
-    if options
-        .shards
-        .resolve(prepared.compiled.device_count())
-        .is_some()
-    {
-        trace.set_relabel_workers(options.resolved_threads());
-    }
     patterns
         .iter()
         .enumerate()
@@ -447,7 +427,7 @@ pub(crate) fn find_all_compiled(
     // merge both skip marked candidates the same way claim-skips work:
     // no slot is ever written or awaited for them. The mask is computed
     // before any worker spawns, so pruning — like everything the merge
-    // consumes — is identical for every thread count and scheduler.
+    // consumes — is identical for every thread count.
     let pruned_mask: Option<Vec<bool>> = {
         let prune_index = match options.prune {
             PrunePolicy::Never => None,
@@ -499,75 +479,21 @@ pub(crate) fn find_all_compiled(
         outcome.metrics = metrics;
         return outcome;
     };
-    // ---- Shard plan (DESIGN.md §3i) ----
-    //
-    // Sharding partitions the *candidate vector* by anchor ownership:
-    // the main graph's compiled device order is cut into contiguous
-    // core ranges (plus pattern-diameter halos, the containment
-    // contract), and every candidate is owned by exactly one shard.
-    // Workers claim whole shards instead of single candidates, which
-    // localizes their reads; everything downstream of the slots — the
-    // serial CV-ordered merge — is untouched, so sharded results are
-    // byte-identical to unsharded ones by construction. Tracing forces
-    // the serial path, exactly as it disables parallel dispatch.
-    let n = p1.candidates.len();
-    let plan_timer = collect.then(PhaseTimer::start);
-    let shard_plan: Option<ShardPlan> = if options.record_trace || n <= 1 {
-        None
-    } else {
-        options
-            .shards
-            .resolve(prepared.compiled.device_count())
-            .map(|k| {
-                let diameter = crate::shard::pattern_diameter(&s);
-                ShardPlan::build(&prepared.compiled, k, diameter)
-            })
-    };
-    let plan_ns = plan_timer.map_or(0, |t| t.elapsed_ns());
-    // Per-shard candidate lists (CV indices in CV order) and the
-    // owner-shard of every candidate — the merge uses owners to tell a
-    // cross-shard halo duplicate from an ordinary one.
-    let (shard_lists, owners): (Option<Vec<Vec<usize>>>, Option<Vec<u32>>) =
-        match shard_plan.as_ref() {
-            Some(plan) => {
-                let mut lists: Vec<Vec<usize>> = vec![Vec::new(); plan.shard_count()];
-                let mut owners: Vec<u32> = Vec::with_capacity(n);
-                for (i, c) in p1.candidates.iter().enumerate() {
-                    let o = plan.owner_of(&prepared.compiled, *c);
-                    owners.push(o as u32);
-                    lists[o].push(i);
-                }
-                (Some(lists), Some(owners))
-            }
-            None => (None, None),
-        };
-    let sharded = shard_lists.is_some();
-
     // ---- Phase II candidate stage ----
     //
-    // Parallel runs stream: workers claim candidates — one at a time
-    // from a shared atomic cursor (work stealing, the default) or as
-    // preassigned contiguous chunks — verify them into per-candidate
-    // slots, and the serial merge below consumes those slots in
-    // candidate-vector order *concurrently*, behind a bounded reorder
-    // window. The merge is the sole determinism authority: it charges
-    // the governor, decides truncation, claims devices, and absorbs
-    // stats/events/tallies from exactly the candidates it consumes —
-    // so instances, stats, the journal, and the truncation point are
-    // identical for every thread count and both schedulers (tracing
-    // forces the serial path). See DESIGN.md §3e.
-    //
-    // Shard mode rides the same machinery — slots, shared governor,
-    // merge — but workers claim whole shards from an atomic cursor, so
-    // it always uses the slot path (even at one thread) and ignores
-    // the scheduler knob and the claim board (the merge's own claim
-    // check is authoritative either way).
-    let par_enabled = !options.record_trace && n > 1 && (worker_count > 1 || sharded);
-    let spawn_count = match shard_lists.as_ref() {
-        Some(lists) => worker_count.min(lists.len()).min(n),
-        None => worker_count.min(n),
-    };
-    let stealing = par_enabled && !sharded && options.scheduler == Phase2Scheduler::WorkStealing;
+    // Parallel runs stream: workers claim candidates one at a time
+    // from a shared atomic cursor (work stealing), verify them into
+    // per-candidate slots, and the serial merge below consumes those
+    // slots in candidate-vector order *concurrently*, behind a bounded
+    // reorder window. The merge is the sole determinism authority: it
+    // charges the governor, decides truncation, claims devices, and
+    // absorbs stats/events/tallies from exactly the candidates it
+    // consumes — so instances, stats, the journal, and the truncation
+    // point are identical for every thread count (tracing forces the
+    // serial path). See DESIGN.md §3e.
+    let n = p1.candidates.len();
+    let par_enabled = !options.record_trace && n > 1 && worker_count > 1;
+    let spawn_count = worker_count.min(n);
     let phase2_timer = collect.then(PhaseTimer::start);
     // Worker-side observability payloads harvested after the scope.
     struct WorkerPart {
@@ -623,25 +549,15 @@ pub(crate) fn find_all_compiled(
     let shared = governor
         .as_ref()
         .map_or_else(SharedGovernor::unlimited, Governor::shared);
-    // Claim board: under ClaimDevices, stealing workers skip
-    // candidates whose key image a merged instance already claimed.
-    // Claims only grow, and only the merge publishes them, so any bit
-    // a worker observes belongs to a merged prefix — the merge's own
-    // claim check skips the same candidate, never waiting on the
-    // worker's unwritten slot.
-    let board = (stealing && options.overlap == OverlapPolicy::ClaimDevices)
+    // Claim board: under ClaimDevices, workers skip candidates whose
+    // key image a merged instance already claimed. Claims only grow,
+    // and only the merge publishes them, so any bit a worker observes
+    // belongs to a merged prefix — the merge's own claim check skips
+    // the same candidate, never waiting on the worker's unwritten slot.
+    let board = (par_enabled && options.overlap == OverlapPolicy::ClaimDevices)
         .then(|| ClaimBoard::new(main_nl.device_count()));
-    let chunk = if par_enabled {
-        n.div_ceil(spawn_count)
-    } else {
-        1
-    };
     let parts = std::sync::Mutex::new(Vec::<WorkerPart>::new());
-    // Shard claim cursor: workers take whole shards, in shard order.
-    // Claim order affects locality and wall-clock only — every slot a
-    // worker fills is consumed by the merge in CV order regardless.
-    let shard_cursor = AtomicUsize::new(0);
-    let worker = |w: usize| {
+    let worker = || {
         use crate::budget::failpoint;
         let mut part = WorkerPart {
             timing: collect.then(CandidateTiming::default),
@@ -663,93 +579,27 @@ pub(crate) fn find_all_compiled(
         }
         failpoint::stall("phase2.worker");
         let mut search = runner.make_state(&base);
-        if let Some(lists) = shard_lists.as_ref() {
-            // Sharded dispatch: claim a shard, verify its candidates in
-            // CV order into the shared per-candidate slots, repeat. The
-            // governor broadcast is checked per candidate, so
-            // exhaustion stops a worker mid-shard; the merge recomputes
-            // any hole serially, keeping results byte-identical.
-            'shards: loop {
-                if shared.halted() || shared.should_stop() {
-                    break;
-                }
-                let sidx = shard_cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(list) = lists.get(sidx) else {
-                    break;
-                };
-                for &i in list {
-                    if shared.halted() || shared.should_stop() {
-                        break 'shards;
-                    }
-                    if pruned_at(i) {
-                        continue;
-                    }
-                    part.sched.claimed += 1;
-                    let mut stats = crate::instance::Phase2Stats::default();
-                    let result = runner
-                        .run_candidate_timed(
-                            &mut search,
-                            key,
-                            p1.candidates[i],
-                            i as u32,
-                            &mut stats,
-                            false,
-                            part.timing.as_mut(),
-                        )
-                        .map(|(m, _)| m);
-                    let effort = 1 + effort_of(&stats);
-                    let _ = slots[i].set(SlotData {
-                        result,
-                        cap: search.last_reject().and_then(TruncationReason::of_cap),
-                        stats,
-                        effort,
-                        events: search.drain_events(),
-                        tally: search.drain_reject_tally(),
-                        done: true,
-                    });
-                    shared.charge(effort);
-                }
-            }
-            queue.worker_done();
-            part.backtrack_hist = search.take_backtrack_hist();
-            push_part(part);
-            return;
-        }
-        // The worker's home range under static chunking — also what
-        // defines a "steal": a claim outside it is work this worker
-        // would have idled through with static chunks.
-        let home = (w * chunk)..(((w + 1) * chunk).min(n));
-        let mut next_static = home.start;
         loop {
             if shared.halted() || shared.should_stop() {
                 break;
             }
-            let i = if stealing {
-                if let Some(failpoint::Action::KillWorker) = failpoint::get("phase2.steal") {
-                    // Death *after* claiming: abandon the candidate so
-                    // the merge's hole recovery has to repair it.
-                    if let Claim::Got(i) = queue.try_claim() {
-                        let _ = slots[i].set(SlotData::abandoned());
-                    }
-                    break;
+            if let Some(failpoint::Action::KillWorker) = failpoint::get("phase2.steal") {
+                // Death *after* claiming: abandon the candidate so the
+                // merge's hole recovery has to repair it.
+                if let Claim::Got(i) = queue.try_claim() {
+                    let _ = slots[i].set(SlotData::abandoned());
                 }
-                failpoint::stall("phase2.steal");
-                match queue.try_claim() {
-                    Claim::Got(i) => i,
-                    Claim::Blocked => {
-                        part.sched.window_stalls += 1;
-                        std::thread::yield_now();
-                        continue;
-                    }
-                    Claim::Drained => break,
+                break;
+            }
+            failpoint::stall("phase2.steal");
+            let i = match queue.try_claim() {
+                Claim::Got(i) => i,
+                Claim::Blocked => {
+                    part.sched.window_stalls += 1;
+                    std::thread::yield_now();
+                    continue;
                 }
-            } else {
-                if next_static >= home.end {
-                    break;
-                }
-                let i = next_static;
-                next_static += 1;
-                i
+                Claim::Drained => break,
             };
             if pruned_at(i) {
                 // Fingerprint-pruned: like a claim-skip, no slot is
@@ -757,9 +607,6 @@ pub(crate) fn find_all_compiled(
                 continue;
             }
             part.sched.claimed += 1;
-            if stealing && !home.contains(&i) {
-                part.sched.steals += 1;
-            }
             let c = p1.candidates[i];
             if let (Some(b), Some(d)) = (board.as_ref(), c.as_device()) {
                 if shared.claim_epoch() > 0 && b.is_claimed(d.index()) {
@@ -801,14 +648,10 @@ pub(crate) fn find_all_compiled(
     // over the main circuit, empty under the other policies.
     let claiming = options.overlap == OverlapPolicy::ClaimDevices;
     let mut claimed = vec![false; if claiming { main_nl.device_count() } else { 0 }];
-    // Canonical device-set → owner shard of the candidate that first
-    // produced it (0 when unsharded), plus the index of its instance in
-    // `outcome.instances` when one was reported. The dedup check is
-    // what it always was; the owner lets shard mode count cross-shard
-    // halo duplicates separately (`shard.dedup_dropped`), and the index
-    // lets the final sort reuse the set instead of recomputing it.
-    let mut seen_sets: HashMap<Vec<DeviceId>, (u32, Option<usize>)> = HashMap::new();
-    let mut shard_dedup_dropped = 0u64;
+    // Canonical device-set → the index of its instance in
+    // `outcome.instances` when one was reported, so the final sort
+    // reuses the set instead of recomputing it.
+    let mut seen_sets: HashMap<Vec<DeviceId>, Option<usize>> = HashMap::new();
     let mut p2_trace: Option<Phase2Trace> = None;
     let mut serial_timing = (collect && !par_enabled).then(CandidateTiming::default);
     let mut checked = 0u64;
@@ -942,14 +785,8 @@ pub(crate) fn find_all_compiled(
             };
             matched += 1;
             let set = m.device_set();
-            let owner = owners.as_ref().map_or(0, |o| o[i]);
-            if let Some(&(first_owner, _)) = seen_sets.get(&set) {
+            if seen_sets.contains_key(&set) {
                 dedup_dropped += 1;
-                if owners.is_some() && first_owner != owner {
-                    // The halo-duplicated case: the same instance was
-                    // reached from anchors owned by two shards.
-                    shard_dedup_dropped += 1;
-                }
                 continue; // same instance reached through another candidate
             }
             let overlaps = claiming && set.iter().any(|d| claimed[d.index()]);
@@ -967,11 +804,11 @@ pub(crate) fn find_all_compiled(
                 }
             }
             if overlaps {
-                seen_sets.insert(set, (owner, None));
+                seen_sets.insert(set, None);
                 outcome.phase2.overlap_dropped += 1;
                 continue;
             }
-            seen_sets.insert(set, (owner, Some(outcome.instances.len())));
+            seen_sets.insert(set, Some(outcome.instances.len()));
             if want_trace {
                 p2_trace = t;
             }
@@ -983,16 +820,12 @@ pub(crate) fn find_all_compiled(
             }
         }
     };
-    let mut merge_ns = 0u64;
     if par_enabled {
         std::thread::scope(|scope| {
-            for w in 0..spawn_count {
-                let worker = &worker;
-                scope.spawn(move || worker(w));
+            for _ in 0..spawn_count {
+                scope.spawn(worker);
             }
-            let merge_timer = (collect && sharded).then(PhaseTimer::start);
             run_merge(&mut serial_search);
-            merge_ns = merge_timer.map_or(0, |t| t.elapsed_ns());
             // Raised on every merge exit path (completion, a limit, a
             // stop): workers — including ones parked on the reorder
             // window — drain promptly instead of finishing the vector.
@@ -1026,7 +859,7 @@ pub(crate) fn find_all_compiled(
     // computed.
     let mut order: Vec<(Vec<DeviceId>, usize)> = seen_sets
         .into_iter()
-        .filter_map(|(set, (_, slot))| Some((set, slot?)))
+        .filter_map(|(set, slot)| Some((set, slot?)))
         .collect();
     order.sort_unstable();
     let mut found: Vec<Option<SubMatch>> = std::mem::take(&mut outcome.instances)
@@ -1108,26 +941,16 @@ pub(crate) fn find_all_compiled(
             outcome.phase2.overlap_dropped as u64,
         );
         if par_enabled {
-            // Scheduler telemetry. Work counts (claims, steals,
-            // skips) depend on runtime interleaving — unlike results,
-            // which never do.
+            // Scheduler telemetry. Work counts (claims, skips)
+            // depend on runtime interleaving — unlike results, which
+            // never do.
             m.counters.bump("scheduler.claims", sched.claimed);
-            m.counters.bump("scheduler.steals", sched.steals);
             m.counters.bump("scheduler.claim_skips", sched.claim_skips);
             m.counters
                 .bump("scheduler.window_stalls", sched.window_stalls);
             m.counters.bump("scheduler.merge_stalls", merge_stalls);
             m.counters.bump("scheduler.recomputed", recomputed);
             m.counters.bump("scheduler.unconsumed", unconsumed);
-        }
-        if let Some(plan) = shard_plan.as_ref() {
-            // Shard telemetry (schema v1 additive): plan shape plus the
-            // overlap and merge costs the sharding pays for.
-            m.counters.bump("shard.count", plan.shard_count() as u64);
-            m.counters.bump("shard.halo_devices", plan.halo_devices());
-            m.counters.bump("shard.dedup_dropped", shard_dedup_dropped);
-            m.counters.bump("shard.plan_ns", plan_ns);
-            m.counters.bump("shard.merge_ns", merge_ns);
         }
         // Reject reasons land as counters in first-bump order;
         // `nonzero()` yields them in the closed `ALL` order.

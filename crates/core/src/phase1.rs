@@ -98,67 +98,6 @@ fn relabel_devices(g: &CompiledCircuit, l: &mut Labels, scratch: &mut Vec<u64>) 
     std::mem::swap(&mut l.dev, scratch);
 }
 
-/// Chunk-parallel [`relabel_nets`]: each Jacobi output element is a
-/// pure function of the *previous* label vector, so splitting the
-/// output range over scoped threads is bit-identical to the serial
-/// pass — the parallelism changes wall-clock, never labels. Used for
-/// shard-tier main graphs (see DESIGN.md §3i); each chunk's read set
-/// is its devices' neighborhoods, the halo-exchange picture of a
-/// stencil step.
-fn relabel_nets_par(g: &CompiledCircuit, l: &mut Labels, scratch: &mut Vec<u64>, workers: usize) {
-    let len = l.net.len();
-    scratch.clear();
-    scratch.resize(len, 0);
-    let chunk = len.div_ceil(workers).max(1);
-    let (net, dev) = (&l.net, &l.dev);
-    std::thread::scope(|scope| {
-        for (ci, out) in scratch.chunks_mut(chunk).enumerate() {
-            let base = ci * chunk;
-            scope.spawn(move || {
-                for (k, slot) in out.iter_mut().enumerate() {
-                    let i = base + k;
-                    let n = NetId::new(i as u32);
-                    *slot = if g.is_global(n) {
-                        net[i]
-                    } else {
-                        let c = g.net_contribs(n, |d| Some(dev[d.index()]));
-                        hashing::relabel(net[i], c.sum)
-                    };
-                }
-            });
-        }
-    });
-    std::mem::swap(&mut l.net, scratch);
-}
-
-/// Chunk-parallel [`relabel_devices`]; see [`relabel_nets_par`].
-fn relabel_devices_par(
-    g: &CompiledCircuit,
-    l: &mut Labels,
-    scratch: &mut Vec<u64>,
-    workers: usize,
-) {
-    let len = l.dev.len();
-    scratch.clear();
-    scratch.resize(len, 0);
-    let chunk = len.div_ceil(workers).max(1);
-    let (net, dev) = (&l.net, &l.dev);
-    std::thread::scope(|scope| {
-        for (ci, out) in scratch.chunks_mut(chunk).enumerate() {
-            let base = ci * chunk;
-            scope.spawn(move || {
-                for (k, slot) in out.iter_mut().enumerate() {
-                    let i = base + k;
-                    let d = DeviceId::new(i as u32);
-                    let c = g.device_contribs(d, |n| Some(net[n.index()]));
-                    *slot = hashing::relabel(dev[i], c.sum);
-                }
-            });
-        }
-    });
-    std::mem::swap(&mut l.dev, scratch);
-}
-
 /// Label→members partition map stored as runs of a `(label, index)`
 /// array sorted by label (ties by index, so members come out in
 /// ascending vertex order). Lookup is two binary searches; building is
@@ -206,9 +145,6 @@ pub struct GTrace {
     g: Arc<CompiledCircuit>,
     snaps: Vec<StepData>,
     scratch: Vec<u64>,
-    /// Scoped threads used per relabeling pass (1 = the serial path,
-    /// byte-for-byte the pre-shard code path).
-    relabel_workers: usize,
 }
 
 /// One trace step: the labels plus label→members partition indices,
@@ -240,17 +176,7 @@ impl GTrace {
             g,
             snaps: vec![first],
             scratch: Vec::new(),
-            relabel_workers: 1,
         }
-    }
-
-    /// Enables chunk-parallel Jacobi relabeling with up to `workers`
-    /// scoped threads per pass. Labels are bit-identical to the serial
-    /// trace for any worker count — each output element is a pure
-    /// function of the previous snapshot — so this only changes
-    /// wall-clock. Clamped to at least 1.
-    pub fn set_relabel_workers(&mut self, workers: usize) {
-        self.relabel_workers = workers.max(1);
     }
 
     /// Step data after `step` relabeling half-phases (extending the
@@ -263,17 +189,10 @@ impl GTrace {
                 .expect("trace starts non-empty")
                 .labels
                 .clone();
-            let par = self.relabel_workers > 1;
             if self.snaps.len() % 2 == 1 {
                 // The snapshot being created has an odd index => it
                 // follows a net phase.
-                if par {
-                    relabel_nets_par(&self.g, &mut next, &mut self.scratch, self.relabel_workers);
-                } else {
-                    relabel_nets(&self.g, &mut next, &mut self.scratch);
-                }
-            } else if par {
-                relabel_devices_par(&self.g, &mut next, &mut self.scratch, self.relabel_workers);
+                relabel_nets(&self.g, &mut next, &mut self.scratch);
             } else {
                 relabel_devices(&self.g, &mut next, &mut self.scratch);
             }
@@ -976,26 +895,6 @@ mod tests {
         let chip = inverter_chain(12);
         let out = run(&compile(&pat), &compile(&chip));
         assert!(out.stats.iterations <= pat.device_count() + pat.net_count() + 4);
-    }
-
-    #[test]
-    fn parallel_relabel_is_bit_identical() {
-        let pat = inverter_cell();
-        let chip = inverter_chain(9);
-        let g = compile(&chip);
-        let sp = compile(&pat);
-        let mut serial = GTrace::new(Arc::clone(&g));
-        let mut par = GTrace::new(Arc::clone(&g));
-        par.set_relabel_workers(4);
-        let a = run_with_trace(&sp, &mut serial, KeyPolicy::SmallestPartition);
-        let b = run_with_trace(&sp, &mut par, KeyPolicy::SmallestPartition);
-        assert_eq!(a.key, b.key);
-        assert_eq!(a.candidates, b.candidates);
-        assert_eq!(serial.snaps.len(), par.snaps.len());
-        for (s, p) in serial.snaps.iter().zip(&par.snaps) {
-            assert_eq!(s.labels.dev, p.labels.dev);
-            assert_eq!(s.labels.net, p.labels.net);
-        }
     }
 
     #[test]

@@ -172,9 +172,6 @@ impl ClaimBoard {
 pub(crate) struct WorkerStats {
     /// Candidates this worker claimed (and attempted).
     pub claimed: u64,
-    /// Claims outside the worker's static-chunk home range — i.e. work
-    /// it would have idled through under static chunking.
-    pub steals: u64,
     /// Candidates skipped because the claim board already covered
     /// their key image.
     pub claim_skips: u64,
@@ -186,7 +183,6 @@ pub(crate) struct WorkerStats {
 impl WorkerStats {
     pub(crate) fn absorb(&mut self, o: &WorkerStats) {
         self.claimed += o.claimed;
-        self.steals += o.steals;
         self.claim_skips += o.claim_skips;
         self.window_stalls += o.window_stalls;
     }
@@ -290,18 +286,15 @@ mod tests {
     fn worker_stats_absorb_sums_fields() {
         let mut a = WorkerStats {
             claimed: 1,
-            steals: 2,
             claim_skips: 3,
             window_stalls: 4,
         };
         a.absorb(&WorkerStats {
             claimed: 10,
-            steals: 20,
             claim_skips: 30,
             window_stalls: 40,
         });
         assert_eq!(a.claimed, 11);
-        assert_eq!(a.steals, 22);
         assert_eq!(a.claim_skips, 33);
         assert_eq!(a.window_stalls, 44);
     }

@@ -314,6 +314,43 @@ fn eight_concurrent_finds_are_byte_identical_to_direct_find_all() {
     assert_eq!(join.join().unwrap().drained, 0);
 }
 
+/// `shards` and `scheduler` name retired dispatch knobs: a body that
+/// still sends them gets the same 200 answer as one without them, while
+/// a key that never existed is still refused.
+#[test]
+fn retired_dispatch_options_are_accepted_and_ignored() {
+    let (addr, join, shutdown) = start_server(Arc::new(Engine::new()), 2);
+    let (status, body) = call(addr, "POST", "/v1/circuits/chip", CHIP);
+    assert_eq!(status, 200, "{body}");
+    let (status, body) = call(addr, "POST", "/v1/libraries/cells", CELLS);
+    assert_eq!(status, 200, "{body}");
+    let find = |options: &str| {
+        let request = format!(
+            r#"{{"circuit": "chip", "pattern": {{"library": "cells", "cell": "inv"}}, "options": {options}}}"#
+        );
+        call(addr, "POST", "/v1/find", &request)
+    };
+    let answer = |options: &str| {
+        let (status, body) = find(options);
+        assert_eq!(status, 200, "{options}: {body}");
+        let doc = parse_json(&body);
+        (
+            doc.get("found").unwrap().as_u64(),
+            doc.get("instance_devices").unwrap().compact(),
+        )
+    };
+    let plain = answer(r#"{"threads": 2}"#);
+    assert_eq!(plain.0, Some(2));
+    assert_eq!(
+        answer(r#"{"threads": 2, "shards": 4, "scheduler": "static"}"#),
+        plain
+    );
+    let (status, body) = find(r#"{"sharding": 4}"#);
+    assert_eq!(status, 400, "unknown keys are still refused: {body}");
+    shutdown();
+    join.join().unwrap();
+}
+
 #[test]
 fn unknown_names_and_bad_bodies_map_to_http_errors() {
     let (addr, join, shutdown) = start_server(Arc::new(Engine::new()), 2);

@@ -1,8 +1,8 @@
-//! Work-stealing scheduler determinism: on a skew-heavy workload the
-//! stealing and static-chunk schedulers, at every thread count, must
-//! produce byte-identical instances, stats, event journals, reject
-//! tallies, and truncation points — including when workers are killed
-//! or stalled at the steal sites.
+//! Phase II dispatch determinism: the serial path (one thread) and
+//! work stealing (two or more) must produce byte-identical instances,
+//! stats, event journals, reject tallies, and truncation points — on a
+//! skew-heavy workload, on a tiled chip, and when workers are killed or
+//! stalled at the steal sites.
 //!
 //! The failpoint registry is process-global, so every test in this
 //! binary serializes on one lock and disarms all sites on exit.
@@ -10,9 +10,9 @@
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use subgemini::budget::failpoint::{self, Action};
-use subgemini::{MatchOptions, Matcher, Phase2Scheduler, WorkBudget};
+use subgemini::{MatchOptions, MatchOutcome, Matcher, WorkBudget};
 use subgemini_netlist::Netlist;
-use subgemini_workloads::{cells, gen};
+use subgemini_workloads::{analog, cells, gen};
 
 /// Serializes failpoint-sensitive tests and guarantees a disarmed
 /// registry on both entry and exit (including panic unwinds).
@@ -46,20 +46,44 @@ fn workload() -> (Netlist, Netlist) {
     (cell, g.netlist)
 }
 
-fn run(pattern: &Netlist, main: &Netlist, opts: MatchOptions) -> subgemini::MatchOutcome {
+/// The skewed field plus a CI-sized mixed chip (about 4k devices of
+/// tiled adders, flops, SRAM, op-amps and glue) searched for two of its
+/// planted cells — many candidates of ordinary cost instead of one
+/// skewed blob. Each entry carries its planted instance count.
+fn workloads() -> Vec<(Netlist, Netlist, usize)> {
+    let (pattern, main) = workload();
+    let mut inputs = vec![(pattern, main, 100)]; // 4 blob copies + 96 planted
+    let chip = gen::tiled_chip(5, 4_000);
+    for cell in [cells::full_adder(), analog::two_stage_opamp()] {
+        let planted = chip.planted_count(cell.name());
+        assert!(planted > 0);
+        inputs.push((cell, chip.netlist.clone(), planted));
+    }
+    inputs
+}
+
+fn run(pattern: &Netlist, main: &Netlist, opts: MatchOptions) -> MatchOutcome {
     Matcher::new(pattern, main).options(opts).find_all()
 }
 
-fn opts(threads: usize, scheduler: Phase2Scheduler) -> MatchOptions {
+fn opts(threads: usize) -> MatchOptions {
     MatchOptions {
         threads,
-        scheduler,
         ..MatchOptions::default()
     }
 }
 
+/// `opts` plus the event journal and metrics counters.
+fn observed_opts(threads: usize) -> MatchOptions {
+    MatchOptions {
+        trace_events: true,
+        collect_metrics: true,
+        ..opts(threads)
+    }
+}
+
 /// Every `reject.*` tally from the metrics counters, in name order.
-fn reject_tallies(o: &subgemini::MatchOutcome) -> Vec<(String, u64)> {
+fn reject_tallies(o: &MatchOutcome) -> Vec<(String, u64)> {
     let m = o.metrics.as_ref().expect("metrics requested");
     let mut t: Vec<(String, u64)> = m
         .counters
@@ -71,7 +95,7 @@ fn reject_tallies(o: &subgemini::MatchOutcome) -> Vec<(String, u64)> {
     t
 }
 
-fn total_effort(o: &subgemini::MatchOutcome) -> u64 {
+fn total_effort(o: &MatchOutcome) -> u64 {
     (o.phase1.iterations
         + o.phase2.candidates_tried
         + o.phase2.passes
@@ -79,36 +103,44 @@ fn total_effort(o: &subgemini::MatchOutcome) -> u64 {
         + o.phase2.backtracks) as u64
 }
 
-const SCHEDULERS: [Phase2Scheduler; 2] =
-    [Phase2Scheduler::WorkStealing, Phase2Scheduler::StaticChunks];
+/// Everything a run reports that must not depend on the thread count:
+/// instances, key image, Phase I/II stats, completeness (with the
+/// truncation point), the event journal and the reject tallies. Both
+/// runs must have used [`observed_opts`].
+#[track_caller]
+fn assert_equivalent(reference: &MatchOutcome, got: &MatchOutcome, ctx: &str) {
+    assert_eq!(reference.instances, got.instances, "{ctx}: instances");
+    assert_eq!(reference.key, got.key, "{ctx}: key image");
+    assert_eq!(reference.phase1, got.phase1, "{ctx}: Phase I stats");
+    assert_eq!(reference.phase2, got.phase2, "{ctx}: Phase II stats");
+    assert_eq!(
+        reference.completeness, got.completeness,
+        "{ctx}: completeness"
+    );
+    assert_eq!(reference.events, got.events, "{ctx}: event journal");
+    assert_eq!(
+        reject_tallies(reference),
+        reject_tallies(got),
+        "{ctx}: reject tallies"
+    );
+}
 
 #[test]
 fn schedulers_and_thread_counts_agree_on_instances_and_stats() {
     let _fp = FpSession::start();
-    let (pattern, main) = workload();
-    let reference = run(&pattern, &main, opts(1, Phase2Scheduler::WorkStealing));
-    assert_eq!(reference.count(), 100, "4 blob copies + 96 planted");
-    assert!(reference.completeness.is_complete());
-    for scheduler in SCHEDULERS {
-        for threads in [1, 2, 8] {
-            let o = run(&pattern, &main, opts(threads, scheduler));
-            assert_eq!(
-                reference.instances, o.instances,
-                "{scheduler:?} threads {threads}: instances diverge"
-            );
-            assert_eq!(reference.key, o.key, "{scheduler:?} threads {threads}");
-            assert_eq!(
-                reference.phase1, o.phase1,
-                "{scheduler:?} threads {threads}"
-            );
-            assert_eq!(
-                reference.phase2, o.phase2,
-                "{scheduler:?} threads {threads}: Phase II stats diverge"
-            );
-            assert_eq!(
-                reference.completeness, o.completeness,
-                "{scheduler:?} threads {threads}"
-            );
+    for (pattern, main, planted) in &workloads() {
+        let name = pattern.name();
+        let reference = run(pattern, main, opts(1));
+        assert_eq!(reference.count(), *planted, "{name}: ground truth");
+        assert!(reference.completeness.is_complete());
+        for threads in [2, 8] {
+            let o = run(pattern, main, opts(threads));
+            let ctx = format!("{name} threads {threads}");
+            assert_eq!(reference.instances, o.instances, "{ctx}: instances");
+            assert_eq!(reference.key, o.key, "{ctx}");
+            assert_eq!(reference.phase1, o.phase1, "{ctx}");
+            assert_eq!(reference.phase2, o.phase2, "{ctx}: Phase II stats");
+            assert_eq!(reference.completeness, o.completeness, "{ctx}");
         }
     }
 }
@@ -116,40 +148,21 @@ fn schedulers_and_thread_counts_agree_on_instances_and_stats() {
 #[test]
 fn journals_and_reject_tallies_are_identical_across_schedulers() {
     let _fp = FpSession::start();
-    let (pattern, main) = workload();
-    let observed = |threads, scheduler| {
-        run(
-            &pattern,
-            &main,
-            MatchOptions {
-                trace_events: true,
-                collect_metrics: true,
-                ..opts(threads, scheduler)
-            },
-        )
-    };
-    let reference = observed(1, Phase2Scheduler::WorkStealing);
-    let ref_journal = reference.events.as_ref().expect("journal requested");
-    assert!(!ref_journal.events.is_empty());
-    let ref_tallies = reject_tallies(&reference);
-    assert!(
-        ref_tallies.iter().any(|(_, v)| *v > 0),
-        "the blob must produce rejects: {ref_tallies:?}"
-    );
-    for scheduler in SCHEDULERS {
+    for (i, (pattern, main, _)) in workloads().iter().enumerate() {
+        let name = pattern.name();
+        let reference = run(pattern, main, observed_opts(1));
+        let ref_journal = reference.events.as_ref().expect("journal requested");
+        assert!(!ref_journal.events.is_empty());
+        let ref_tallies = reject_tallies(&reference);
+        if i == 0 {
+            assert!(
+                ref_tallies.iter().any(|(_, v)| *v > 0),
+                "the blob must produce rejects: {ref_tallies:?}"
+            );
+        }
         for threads in [2, 8] {
-            let o = observed(threads, scheduler);
-            assert_eq!(reference.instances, o.instances);
-            assert_eq!(
-                ref_journal,
-                o.events.as_ref().expect("journal requested"),
-                "{scheduler:?} threads {threads}: journal diverges"
-            );
-            assert_eq!(
-                ref_tallies,
-                reject_tallies(&o),
-                "{scheduler:?} threads {threads}: reject tallies diverge"
-            );
+            let o = run(pattern, main, observed_opts(threads));
+            assert_equivalent(&reference, &o, &format!("{name} threads {threads}"));
         }
     }
 }
@@ -158,41 +171,54 @@ fn journals_and_reject_tallies_are_identical_across_schedulers() {
 fn truncation_point_is_identical_across_schedulers_and_threads() {
     let _fp = FpSession::start();
     let (pattern, main) = workload();
-    let full = run(&pattern, &main, opts(1, Phase2Scheduler::WorkStealing));
+    let full = run(&pattern, &main, opts(1));
     // A midpoint budget cuts the candidate vector partway through.
     let budget = total_effort(&full) / 2;
-    let reference = run(
-        &pattern,
-        &main,
-        MatchOptions {
-            budget: Some(WorkBudget::effort(budget)),
-            ..opts(1, Phase2Scheduler::WorkStealing)
-        },
-    );
+    let budgeted = |threads| MatchOptions {
+        budget: Some(WorkBudget::effort(budget)),
+        ..opts(threads)
+    };
+    let reference = run(&pattern, &main, budgeted(1));
     assert!(
         reference.completeness.is_truncated(),
         "midpoint budget must truncate"
     );
-    for scheduler in SCHEDULERS {
-        for threads in [1, 2, 8] {
-            let o = run(
-                &pattern,
-                &main,
-                MatchOptions {
-                    budget: Some(WorkBudget::effort(budget)),
-                    ..opts(threads, scheduler)
-                },
-            );
-            assert_eq!(
-                reference.instances, o.instances,
-                "{scheduler:?} threads {threads}: truncated instances diverge"
-            );
-            assert_eq!(
-                reference.completeness, o.completeness,
-                "{scheduler:?} threads {threads}: truncation point diverges"
+    for threads in [2, 8] {
+        let o = run(&pattern, &main, budgeted(threads));
+        assert_eq!(
+            reference.instances, o.instances,
+            "threads {threads}: truncated instances diverge"
+        );
+        assert_eq!(
+            reference.completeness, o.completeness,
+            "threads {threads}: truncation point diverges"
+        );
+    }
+
+    // A sweep of effort caps over a 16-copy nand2 trap blob followed by
+    // 24 easy instances: 50 cuts inside the blob, 200 in the easy tail,
+    // 1000 and 5000 run to completion. The whole observable outcome
+    // stays the same at every thread count.
+    let cell = cells::nand2();
+    let field = gen::skewed_trap_field(&cell, 16, 24).netlist;
+    let mut truncated = 0;
+    for max_effort in [50u64, 200, 1000, 5000] {
+        let capped = |threads| MatchOptions {
+            budget: Some(WorkBudget::effort(max_effort)),
+            ..observed_opts(threads)
+        };
+        let reference = run(&cell, &field, capped(1));
+        truncated += usize::from(reference.completeness.is_truncated());
+        for threads in [2, 8] {
+            let o = run(&cell, &field, capped(threads));
+            assert_equivalent(
+                &reference,
+                &o,
+                &format!("effort {max_effort} threads {threads}"),
             );
         }
     }
+    assert!(truncated > 0, "the sweep must include a truncated run");
 }
 
 #[test]
@@ -204,25 +230,23 @@ fn max_instances_stop_is_identical_across_schedulers_and_threads() {
         &main,
         MatchOptions {
             max_instances: 10,
-            ..opts(1, Phase2Scheduler::WorkStealing)
+            ..opts(1)
         },
     );
     assert_eq!(reference.count(), 10);
-    for scheduler in SCHEDULERS {
-        for threads in [2, 8] {
-            let o = run(
-                &pattern,
-                &main,
-                MatchOptions {
-                    max_instances: 10,
-                    ..opts(threads, scheduler)
-                },
-            );
-            assert_eq!(
-                reference.instances, o.instances,
-                "{scheduler:?} threads {threads}: max_instances stop diverges"
-            );
-        }
+    for threads in [2, 8] {
+        let o = run(
+            &pattern,
+            &main,
+            MatchOptions {
+                max_instances: 10,
+                ..opts(threads)
+            },
+        );
+        assert_eq!(
+            reference.instances, o.instances,
+            "threads {threads}: max_instances stop diverges"
+        );
     }
 }
 
@@ -235,7 +259,7 @@ fn stealing_happens_and_worker_accounting_stays_consistent() {
         &main,
         MatchOptions {
             collect_metrics: true,
-            ..opts(8, Phase2Scheduler::WorkStealing)
+            ..opts(8)
         },
     );
     let m = o.metrics.as_ref().expect("metrics requested");
@@ -248,13 +272,6 @@ fn stealing_happens_and_worker_accounting_stays_consistent() {
     let claims = m.counters.get("scheduler.claims");
     assert!(claims <= o.phase1.cv_size as u64);
     assert!(claims + m.counters.get("scheduler.recomputed") >= o.phase2.candidates_tried as u64);
-    // The blob clusters heavy candidates into one home range, so idle
-    // workers must cross chunk boundaries to drain the tail.
-    assert!(
-        m.counters.get("scheduler.steals") > 0,
-        "skewed workload at 8 threads must provoke steals; counters: {:?}",
-        m.counters.iter().collect::<Vec<_>>()
-    );
     // Raced-but-discarded work is possible; invented work is not.
     assert!(o.completeness.is_complete());
 }
@@ -263,17 +280,13 @@ fn stealing_happens_and_worker_accounting_stays_consistent() {
 fn worker_death_at_steal_site_recovers_with_identical_results() {
     let _fp = FpSession::start();
     let (pattern, main) = workload();
-    let reference = run(&pattern, &main, opts(1, Phase2Scheduler::WorkStealing));
+    let reference = run(&pattern, &main, opts(1));
     // Every worker dies at its first claim, leaving an abandoned-slot
     // tombstone; the merge must recompute every candidate serially and
     // still produce the full answer.
     failpoint::configure("phase2.steal", Action::KillWorker);
     for threads in [2, 8] {
-        let o = run(
-            &pattern,
-            &main,
-            opts(threads, Phase2Scheduler::WorkStealing),
-        );
+        let o = run(&pattern, &main, opts(threads));
         assert_eq!(
             reference.instances, o.instances,
             "threads {threads}: steal-site death changed the result"
@@ -287,7 +300,7 @@ fn worker_death_at_steal_site_recovers_with_identical_results() {
         &main,
         MatchOptions {
             budget: Some(WorkBudget::effort(budget)),
-            ..opts(1, Phase2Scheduler::WorkStealing)
+            ..opts(1)
         },
     );
     assert!(budgeted_serial.completeness.is_truncated());
@@ -297,7 +310,7 @@ fn worker_death_at_steal_site_recovers_with_identical_results() {
             &main,
             MatchOptions {
                 budget: Some(WorkBudget::effort(budget)),
-                ..opts(threads, Phase2Scheduler::WorkStealing)
+                ..opts(threads)
             },
         );
         assert_eq!(budgeted_serial.instances, o.instances, "threads {threads}");
@@ -312,16 +325,12 @@ fn worker_death_at_steal_site_recovers_with_identical_results() {
 fn worker_stall_at_steal_site_shifts_time_but_not_results() {
     let _fp = FpSession::start();
     let (pattern, main) = workload();
-    let reference = run(&pattern, &main, opts(1, Phase2Scheduler::WorkStealing));
+    let reference = run(&pattern, &main, opts(1));
     // Stall every claim attempt: claim interleavings scramble, the
     // merged outcome must not.
     failpoint::configure("phase2.steal", Action::StallMs(1));
     for threads in [2, 8] {
-        let o = run(
-            &pattern,
-            &main,
-            opts(threads, Phase2Scheduler::WorkStealing),
-        );
+        let o = run(&pattern, &main, opts(threads));
         assert_eq!(reference.instances, o.instances, "threads {threads}");
         assert_eq!(reference.phase2, o.phase2, "threads {threads}");
         assert!(o.completeness.is_complete());
@@ -332,19 +341,17 @@ fn worker_stall_at_steal_site_shifts_time_but_not_results() {
 fn worker_death_at_spawn_site_recovers_under_stealing_scheduler() {
     let _fp = FpSession::start();
     let (pattern, main) = workload();
-    let reference = run(&pattern, &main, opts(1, Phase2Scheduler::WorkStealing));
+    let reference = run(&pattern, &main, opts(1));
     // Workers die before claiming anything at all (no tombstones, just
     // an empty board); the merge self-heals via recomputation.
     failpoint::configure("phase2.worker", Action::KillWorker);
-    for scheduler in SCHEDULERS {
-        for threads in [2, 8] {
-            let o = run(&pattern, &main, opts(threads, scheduler));
-            assert_eq!(
-                reference.instances, o.instances,
-                "{scheduler:?} threads {threads}: spawn-site death changed the result"
-            );
-            assert!(o.completeness.is_complete());
-        }
+    for threads in [2, 8] {
+        let o = run(&pattern, &main, opts(threads));
+        assert_eq!(
+            reference.instances, o.instances,
+            "threads {threads}: spawn-site death changed the result"
+        );
+        assert!(o.completeness.is_complete());
     }
 }
 
@@ -357,7 +364,7 @@ fn threads_auto_resolves_and_reports_both_numbers() {
         &main,
         MatchOptions {
             collect_metrics: true,
-            ..opts(0, Phase2Scheduler::WorkStealing)
+            ..opts(0)
         },
     );
     let m = o.metrics.as_ref().expect("metrics requested");
@@ -365,11 +372,23 @@ fn threads_auto_resolves_and_reports_both_numbers() {
     assert!(m.threads_resolved >= 1, "auto maps to a concrete count");
     assert!(m.threads_used >= 1);
     // Auto must agree with an explicit request for the same count.
-    let explicit = run(
-        &pattern,
-        &main,
-        opts(m.threads_resolved, Phase2Scheduler::WorkStealing),
-    );
+    let explicit = run(&pattern, &main, opts(m.threads_resolved));
     assert_eq!(o.instances, explicit.instances);
     assert_eq!(o.phase2, explicit.phase2);
+}
+
+/// The chip-scale pin: a 10^6-device tiled chip gives byte-identical
+/// outcomes at one and two threads and finds exactly the planted full
+/// adders. Run with `cargo test --release -- --ignored`.
+#[test]
+#[ignore = "chip-scale (10^6 devices): run with --release -- --ignored"]
+fn million_device_tiled_chip_is_identical_at_one_and_two_threads() {
+    let _fp = FpSession::start();
+    let chip = gen::tiled_chip(1, 1_000_000);
+    assert!(chip.netlist.device_count() >= 1_000_000);
+    let fa = cells::full_adder();
+    let reference = run(&fa, &chip.netlist, observed_opts(1));
+    assert_eq!(reference.count(), chip.planted_count("full_adder"));
+    let o = run(&fa, &chip.netlist, observed_opts(2));
+    assert_equivalent(&reference, &o, "million-device pin");
 }
